@@ -116,12 +116,28 @@ class GenConfig:
             raise ConfigError("scene_retries: must be >= 1")
 
     def digest(self) -> str:
-        """Stable hash of every field, for regeneration metadata."""
-        lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
+        """Stable hash of the fields that decide a record's content.
+
+        Where the run writes, how many samples it makes and how it splits
+        them leave each record unchanged, so they stay out. Pool files
+        enter by content, not by path.
+        """
+        lines = []
+        for f in fields(self):
+            if f.name in _RECORD_INDEPENDENT:
+                continue
+            value = getattr(self, f.name)
+            if f.name in _POOL_FILES and value is not None:
+                value = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+            lines.append(f"{f.name}={value!r}")
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
     def canonical_text(self) -> str:
         return "\n".join(f"{f.name} = {_render(getattr(self, f.name))}" for f in fields(self))
+
+
+_RECORD_INDEPENDENT = frozenset({"n_samples", "out_dir", "split_train", "split_valid", "split_test"})
+_POOL_FILES = ("names_file", "npc_types_file", "colors_file")
 
 
 def _render(value) -> str:

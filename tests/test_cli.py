@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -87,6 +88,19 @@ def test_config_validation_messages_name_fields():
         GenConfig(weight_property=0, weight_temporal=0, weight_geometric=0).validate()
 
 
+def test_digest_ignores_output_fields_and_reads_pools_by_content(tmp_path):
+    base = GenConfig()
+    assert base.digest() == dataclasses.replace(base, out_dir="x", n_samples=3).digest()
+    assert base.digest() != dataclasses.replace(base, seed=1).digest()
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("red\nblue\n")
+    second.write_text("red\nblue\n")
+    a = dataclasses.replace(base, colors_file=str(first))
+    assert a.digest() == dataclasses.replace(base, colors_file=str(second)).digest()
+    second.write_text("red\ngreen\n")
+    assert a.digest() != dataclasses.replace(base, colors_file=str(second)).digest()
+
+
 def test_overrides():
     config = apply_overrides(GenConfig(), ["n_samples=5", "seed=9"])
     assert config.n_samples == 5 and config.seed == 9
@@ -155,6 +169,25 @@ def test_generate_parallel_matches_serial(tmp_path):
         a = (Path(serial.out_dir) / f"{split}.jsonl").read_bytes()
         b = (Path(parallel.out_dir) / f"{split}.jsonl").read_bytes()
         assert a == b
+
+
+# sha256 over train, valid and test (in that order) for 30 samples at seed 7.
+# A deliberate change of the output bumps these and says why in CHANGES.md.
+GOLDEN_FINGERPRINTS = {
+    "default": "49e4d2aaf373ca28c1eafc7bb0e63d69a9bc915d7f44dd9b8d7f68639792775b",
+    "properties": "4f3d5fb051a8adb71f4d830d74065e0f093626d98e1c138329ad07a235a8a130",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_FINGERPRINTS))
+def test_golden_fingerprint(tmp_path, preset):
+    base = GenConfig.properties_mode() if preset == "properties" else GenConfig()
+    config = dataclasses.replace(base, n_samples=30, seed=7, out_dir=str(tmp_path / preset))
+    generate(config)
+    digest = hashlib.sha256()
+    for split in ("train", "valid", "test"):
+        digest.update((Path(config.out_dir) / f"{split}.jsonl").read_bytes())
+    assert digest.hexdigest() == GOLDEN_FINGERPRINTS[preset]
 
 
 # --- scoring ---------------------------------------------------------------------
@@ -239,6 +272,20 @@ def test_validate_accepts_emitted_dataset(tmp_path):
     generate(config)
     problems = validate_dataset(Path(config.out_dir) / "train.jsonl", config)
     assert problems == []
+
+
+def test_validate_with_the_generating_config_file(tmp_path, capsys):
+    config_path = tmp_path / "gen.cfg"
+    config_path.write_text(
+        "n_samples = 6\nseed = 5\nout_dir = elsewhere\n"
+        "split_train = 1.0\nsplit_valid = 0.0\nsplit_test = 0.0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "ds"
+    assert main(["generate", "--config", str(config_path), "--out", str(out)]) == 0
+    code = main(["validate", "--dataset", str(out / "train.jsonl"), "--config", str(config_path)])
+    assert capsys.readouterr().err == ""
+    assert code == 0
 
 
 def test_validate_flags_tampered_records(tmp_path):
