@@ -19,7 +19,6 @@ from .worldcore import (
     Snapshot,
     Triple,
     WorldState,
-    lookup,
     take_snapshot,
 )
 from .dynamics import Task, schedule_snapshots, step_world
@@ -43,7 +42,6 @@ __all__ = [
     "build_scene",
     "execute",
     "format_answer",
-    "lookup",
     "make_shape",
     "parse_form",
     "read_relational_context",

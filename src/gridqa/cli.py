@@ -33,6 +33,7 @@ from .scenegen import SceneCapacityError
 from .serialize import (
     DatasetIOError,
     Sample,
+    read_jsonl,
     read_relational_context,
     read_samples,
     relational_ids,
@@ -185,16 +186,9 @@ def score(predictions_path: str | Path, references_path: str | Path) -> dict:
     report includes a per-class breakdown.
     """
     references = read_samples(references_path)
-    try:
-        lines = Path(predictions_path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetIOError(f"failed reading predictions {predictions_path}: {exc}") from exc
-    predictions = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        predictions[record["sample_id"]] = record["answer_text"]
+    predictions = dict(
+        read_jsonl(predictions_path, lambda record: (record["sample_id"], record["answer_text"]))
+    )
 
     ref_ids = {s.sample_id for s in references}
     missing = sorted(ref_ids - set(predictions))

@@ -95,8 +95,6 @@ class GenConfig:
             raise ConfigError("query class weights must be >= 0")
         if all(w == 0 for w in weights.values()):
             raise ConfigError("query class weights must not all be zero")
-        if (self.weight_temporal > 0 or self.weight_geometric > 0) and self.n_snapshots < 1:
-            raise ConfigError("n_snapshots: must be >= 1")
         if self.weight_temporal > 0 and self.n_snapshots < 2:
             raise ConfigError("weight_temporal: temporal queries need n_snapshots >= 2")
         for name in ("two_clause_prob", "negation_prob", "command_prob"):
@@ -136,7 +134,9 @@ class GenConfig:
         return "\n".join(f"{f.name} = {_render(getattr(self, f.name))}" for f in fields(self))
 
 
-_RECORD_INDEPENDENT = frozenset({"n_samples", "out_dir", "split_train", "split_valid", "split_test"})
+_RECORD_INDEPENDENT = frozenset(
+    {"n_samples", "out_dir", "split_train", "split_valid", "split_test"}
+)
 _POOL_FILES = ("names_file", "npc_types_file", "colors_file")
 
 

@@ -25,7 +25,6 @@ from .worldcore import (
     Vec3,
     WorldState,
     memid_hex,
-    snap_coord,
 )
 from . import scenegen
 

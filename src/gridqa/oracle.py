@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .querygen import ARGMAX_KINDS, VALUE_KINDS, Clause, QueryForm
+from .querygen import VALUE_KINDS, Clause, QueryForm
 from .worldcore import (
     AGENT,
     PLAYER,
@@ -45,12 +45,8 @@ class Answer:
     relevant_memids: tuple[str, ...]  # hex R_ids and T_ids, sorted
 
 
-def position_of(obj: RefObject) -> Vec3:
-    return object_position(obj)
-
-
 def distance_to_point(obj: RefObject, point: Vec3) -> float:
-    return math.dist(position_of(obj), point)
+    return math.dist(object_position(obj), point)
 
 
 def resolve_ref(ref: dict, snapshot: Snapshot) -> Entity:
@@ -137,7 +133,7 @@ def property_eval(clause: Clause, snapshot: Snapshot) -> tuple[set[int], set[int
         threshold = args["threshold"]
         matched = set()
         for obj in snapshot.reference_objects:
-            value = position_of(obj)[index]
+            value = object_position(obj)[index]
             if (value < threshold) if args["comparator"] == "less" else (value > threshold):
                 matched.add(obj.memid)
         return matched, set()
@@ -169,7 +165,7 @@ def geometric_eval(
         origin = owner.pose.position
         matched = set()
         for obj in snapshot.reference_objects:
-            p = position_of(obj)
+            p = object_position(obj)
             offset = (p[0] - origin[0], p[1] - origin[1], p[2] - origin[2])
             if _dot(offset, direction) > 0.0:
                 matched.add(obj.memid)
@@ -177,7 +173,7 @@ def geometric_eval(
     if clause.kind == "closest_object":
         anchor = resolve_ref(args["anchor"], snapshot)
         scores = {
-            obj.memid: -math.dist(position_of(obj), anchor.pose.position)
+            obj.memid: -math.dist(object_position(obj), anchor.pose.position)
             for obj in snapshot.reference_objects
             if obj.memid != anchor.memid
         }
@@ -190,7 +186,7 @@ def geometric_eval(
         for obj in snapshot.reference_objects:
             if obj.memid == owner.memid:
                 continue
-            p = position_of(obj)
+            p = object_position(obj)
             scores[obj.memid] = _dot((p[0] - origin[0], p[1] - origin[1], p[2] - origin[2]), direction)
         return {_argmax(scores, tie_margin)}
     if clause.kind == "distance_between":
@@ -375,7 +371,7 @@ def execute(
     elif form.return_type == "location":
         if not objects:
             raise UnanswerableQueryError("empty answer set")
-        value = [position_of(o) for o in objects]
+        value = [object_position(o) for o in objects]
         answer_objs = set(result)
     elif form.return_type == "count":
         value = len(result)

@@ -21,9 +21,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .worldcore import PROPERTY_PREDICATES, Snapshot
+from .worldcore import PROPERTY_PREDICATES, Snapshot, object_position
 
 if TYPE_CHECKING:
     from .config import GenConfig
@@ -214,7 +214,48 @@ def allowed_return_types(clauses: tuple[Clause, ...], op: str | None) -> tuple[s
     return tuple(rt for rt in RETURN_TYPES if rt in allowed)
 
 
-# --- rendering ---------------------------------------------------------------
+# --- grammar -----------------------------------------------------------------
+#
+# One template per clause kind (two for location_at_time, one per time).
+# "{arg:slot}" writes a clause argument by its slot type; "{neg:A|B}"
+# reads A when the clause is negated and B when it is not. Value kinds
+# are whole queries; the others are fragments that follow a head and
+# join with " and " / " or ". render_text and parse_form both read the
+# compiled table, and FORMAT.md lists it verbatim.
+
+HEADS = {
+    ("name", False): "what are the names of the objects",
+    ("name", True): "what is the name of the object",
+    ("tag", False): "what are the properties of the objects",
+    ("tag", True): "what are the properties of the object",
+    ("location", False): "what are the locations of the objects",
+    ("count", False): "what is the count of the objects",
+}
+
+# (kind, args fixed by the entry, template)
+TEMPLATES = (
+    ("name", {}, "that {neg:do not have|have} the name {name:word}"),
+    ("tag", {}, "that {neg:do not have|has} the property {tag:word}"),
+    ("absolute_cardinal", {},
+     "where the {axis:axis} coordinate is {neg:not |}{comparator:cmp} than {threshold:num}"),
+    ("absolute_distance", {},
+     "where the distance to {point:point} is {neg:not |}{comparator:cmp} than {threshold:num}"),
+    ("direction", {}, "{neg:not to|to} {frame:frame} {side:side}"),
+    ("temporal_cardinal", {}, "that {neg:did not increase|increased} {axis:axis} the most"),
+    ("temporal_relative", {},
+     "that {neg:did not move|moved} to {frame:frame} {side:side} the most"),
+    ("farthest_moved", {}, "that moved the farthest"),
+    ("closest_object", {}, "that is closest to {anchor:ref}"),
+    ("max_direction", {}, "that is the most to {frame:frame} {side:side}"),
+    ("action", {}, "what did you do?"),
+    ("location_at_time", {"time": "beginning"},
+     "what was the location of {ref:ref} at the beginning?"),
+    ("location_at_time", {"time": "now"}, "what is the location of {ref:ref} now?"),
+    ("object_tracking", {}, "where would {ref:ref} be if i moved to {target:cell}?"),
+    ("distance_between", {}, "how far is {a:ref} from {b:ref}?"),
+    ("distance_from_position", {},
+     "what is the location {steps:int} steps to {frame:frame} {side:side}?"),
+)
 
 
 def _fmt_num(v: float) -> str:
@@ -224,276 +265,152 @@ def _fmt_num(v: float) -> str:
 
 
 def _fmt_ref(ref: dict) -> str:
-    by = ref["by"]
-    if by == "me":
-        return "me"
-    if by == "you":
-        return "you"
-    if by == "type":
+    if ref["by"] == "type":
         return f"the {ref['word']}"
-    return ref["word"]
+    return ref.get("word", ref["by"])
 
 
-_HEADS = {
-    ("name", False): "what are the names of the objects",
-    ("name", True): "what is the name of the object",
-    ("tag", False): "what are the properties of the objects",
-    ("tag", True): "what are the properties of the object",
-    ("location", False): "what are the locations of the objects",
-    ("count", False): "what is the count of the objects",
+def _parse_ref(text: str) -> dict:
+    if text in ("me", "you"):
+        return {"by": text}
+    if text.startswith("the "):
+        return {"by": "type", "word": text[4:]}
+    return {"by": "name", "word": text}
+
+
+class _Slot(NamedTuple):
+    regex: str
+    render: Callable
+    parse: Callable
+
+
+def _neg_slot(negated: str, positive: str) -> _Slot:
+    return _Slot(
+        f"{re.escape(negated)}|{re.escape(positive)}",
+        lambda neg: negated if neg else positive,
+        negated.__eq__,
+    )
+
+
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in re.findall(r"\d+", text)]
+
+
+_WORD = r"[a-z_]+"
+_SLOTS = {
+    "word": _Slot(_WORD, str, str),
+    "num": _Slot(r"\d+(?:\.\d+)?", _fmt_num, float),
+    "int": _Slot(r"\d+", str, int),
+    "axis": _Slot("|".join(AXES), str, str),
+    "cmp": _Slot("|".join(COMPARATORS), str, str),
+    "frame": _Slot("|".join(FRAMES), str, str),
+    "side": _Slot("|".join(SIDES), str, str),
+    "ref": _Slot(rf"the {_WORD}|{_WORD}", _fmt_ref, _parse_ref),
+    "point": _Slot(r"\(\d+, \d+, \d+\)", lambda p: "({}, {}, {})".format(*p), _ints),
+    "cell": _Slot(r"\(\d+,\d+,\d+\)", lambda p: "({},{},{})".format(*p), _ints),
 }
 
+_SLOT_RE = re.compile(r"\{(\w+):([^}]*)\}")
 
-def _fragment(clause: Clause) -> str:
-    a = clause.args
-    kind, neg = clause.kind, clause.negated
-    if kind == "name":
-        verb = "do not have" if neg else "have"
-        return f"that {verb} the name {a['name']}"
-    if kind == "tag":
-        verb = "do not have" if neg else "has"
-        return f"that {verb} the property {a['tag']}"
-    if kind == "absolute_cardinal":
-        maybe_not = "not " if neg else ""
-        return (
-            f"where the {a['axis']} coordinate is {maybe_not}"
-            f"{a['comparator']} than {_fmt_num(a['threshold'])}"
-        )
-    if kind == "absolute_distance":
-        x, y, z = a["point"]
-        maybe_not = "not " if neg else ""
-        return (
-            f"where the distance to ({x}, {y}, {z}) is {maybe_not}"
-            f"{a['comparator']} than {_fmt_num(a['threshold'])}"
-        )
-    if kind == "direction":
-        prefix = "not to" if neg else "to"
-        return f"{prefix} {a['frame']} {a['side']}"
-    if kind == "temporal_cardinal":
-        if neg:
-            return f"that did not increase {a['axis']} the most"
-        return f"that increased {a['axis']} the most"
-    if kind == "temporal_relative":
-        if neg:
-            return f"that did not move to {a['frame']} {a['side']} the most"
-        return f"that moved to {a['frame']} {a['side']} the most"
-    if kind == "farthest_moved":
-        return "that moved the farthest"
-    if kind == "closest_object":
-        return f"that is closest to {_fmt_ref(a['anchor'])}"
-    if kind == "max_direction":
-        return f"that is the most to {a['frame']} {a['side']}"
-    raise QueryFormError(f"no fragment for clause kind {kind!r}")
+
+class _Entry(NamedTuple):
+    kind: str
+    fixed: dict
+    fmt: str  # the template with each slot reduced to "{name}"
+    slots: dict[str, _Slot]
+    regex: re.Pattern
+
+
+def _compile(kind: str, fixed: dict, template: str) -> _Entry:
+    pieces = _SLOT_RE.split(template)  # literal, name, spec, literal, ...
+    slots = {}
+    pattern = re.escape(pieces[0])
+    for name, spec, literal in zip(pieces[1::3], pieces[2::3], pieces[3::3]):
+        slots[name] = _neg_slot(*spec.split("|")) if name == "neg" else _SLOTS[spec]
+        pattern += f"(?P<{name}>{slots[name].regex}){re.escape(literal)}"
+    return _Entry(kind, fixed, _SLOT_RE.sub(r"{\1}", template), slots, re.compile(pattern))
+
+
+_ENTRIES = tuple(_compile(*row) for row in TEMPLATES)
+_BY_KIND = {kind: [e for e in _ENTRIES if e.kind == kind] for kind in ALL_KINDS}
+_QUERY_ENTRIES = tuple(e for e in _ENTRIES if e.kind in VALUE_KINDS)
+_FILTER_ENTRIES = tuple(e for e in _ENTRIES if e.kind not in VALUE_KINDS)
+_HEAD_KEYS = {text: key for key, text in HEADS.items()}
+
+
+def _render_clause(clause: Clause) -> str:
+    values = {"neg": clause.negated, **clause.args}
+    for entry in _BY_KIND[clause.kind]:
+        if all(values.get(k) == v for k, v in entry.fixed.items()):
+            return entry.fmt.format_map(
+                {name: slot.render(values[name]) for name, slot in entry.slots.items()}
+            )
+    raise QueryFormError(f"no template for clause {clause.kind!r} with args {clause.args}")
+
+
+def _match_clause(text: str, entries: tuple[_Entry, ...]) -> Clause | None:
+    for entry in entries:
+        m = entry.regex.fullmatch(text)
+        if m:
+            values = {name: slot.parse(m[name]) for name, slot in entry.slots.items()}
+            negated = values.pop("neg", False)
+            return Clause(entry.kind, negated, {**entry.fixed, **values})
+    return None
 
 
 def render_text(form: QueryForm) -> str:
     """Deterministic English rendering of a query form."""
     first = form.clauses[0]
     if first.kind in VALUE_KINDS:
-        a = first.args
-        if first.kind == "action":
-            return "what did you do?"
-        if first.kind == "location_at_time":
-            ref = _fmt_ref(a["ref"])
-            if a["time"] == "beginning":
-                return f"what was the location of {ref} at the beginning?"
-            return f"what is the location of {ref} now?"
-        if first.kind == "object_tracking":
-            x, y, z = a["target"]
-            return f"where would {_fmt_ref(a['ref'])} be if i moved to ({x},{y},{z})?"
-        if first.kind == "distance_between":
-            return f"how far is {_fmt_ref(a['a'])} from {_fmt_ref(a['b'])}?"
-        if first.kind == "distance_from_position":
-            return (
-                f"what is the location {a['steps']} steps to {a['frame']} {a['side']}?"
-            )
+        return _render_clause(first)
     singular = len(form.clauses) == 1 and first.kind in ARGMAX_KINDS and not first.negated
-    head = _HEADS[(form.return_type, singular)]
     joiner = f" {form.op} " if form.op else ""
-    body = joiner.join(_fragment(c) for c in form.clauses)
-    return f"{head} {body}?"
-
-
-# --- parsing -----------------------------------------------------------------
-
-_NUM = r"\d+(?:\.\d+)?"
-_WORD = r"[a-z_]+"
-_SIDE = "|".join(SIDES)
-_FRAME = "|".join(FRAMES)
-
-_VALUE_PATTERNS = [
-    (re.compile(r"what did you do\?"), lambda m: Clause("action")),
-    (
-        re.compile(rf"what was the location of (?P<ref>the {_WORD}|{_WORD}) at the beginning\?"),
-        lambda m: Clause(
-            "location_at_time", args={"ref": _parse_ref(m["ref"]), "time": "beginning"}
-        ),
-    ),
-    (
-        re.compile(rf"what is the location of (?P<ref>the {_WORD}|{_WORD}) now\?"),
-        lambda m: Clause("location_at_time", args={"ref": _parse_ref(m["ref"]), "time": "now"}),
-    ),
-    (
-        re.compile(
-            rf"where would (?P<ref>the {_WORD}|{_WORD}) be if i moved to "
-            r"\((?P<x>\d+),(?P<y>\d+),(?P<z>\d+)\)\?"
-        ),
-        lambda m: Clause(
-            "object_tracking",
-            args={
-                "ref": _parse_ref(m["ref"]),
-                "target": [int(m["x"]), int(m["y"]), int(m["z"])],
-            },
-        ),
-    ),
-    (
-        re.compile(rf"how far is (?P<a>the {_WORD}|{_WORD}) from (?P<b>the {_WORD}|{_WORD})\?"),
-        lambda m: Clause(
-            "distance_between", args={"a": _parse_ref(m["a"]), "b": _parse_ref(m["b"])}
-        ),
-    ),
-    (
-        re.compile(
-            rf"what is the location (?P<steps>\d+) steps to "
-            rf"(?P<frame>{_FRAME}) (?P<side>{_SIDE})\?"
-        ),
-        lambda m: Clause(
-            "distance_from_position",
-            args={"frame": m["frame"], "side": m["side"], "steps": int(m["steps"])},
-        ),
-    ),
-]
-
-_FRAGMENT_PATTERNS = [
-    (
-        re.compile(rf"that (?P<neg>do not have|have) the name (?P<name>{_WORD})"),
-        lambda m: Clause("name", negated=m["neg"] == "do not have", args={"name": m["name"]}),
-    ),
-    (
-        re.compile(rf"that (?P<neg>do not have|has) the property (?P<tag>{_WORD})"),
-        lambda m: Clause("tag", negated=m["neg"] == "do not have", args={"tag": m["tag"]}),
-    ),
-    (
-        re.compile(
-            rf"where the (?P<axis>x|y|z) coordinate is (?P<neg>not )?"
-            rf"(?P<cmp>less|greater) than (?P<num>{_NUM})"
-        ),
-        lambda m: Clause(
-            "absolute_cardinal",
-            negated=bool(m["neg"]),
-            args={"axis": m["axis"], "comparator": m["cmp"], "threshold": float(m["num"])},
-        ),
-    ),
-    (
-        re.compile(
-            rf"where the distance to \((?P<x>\d+), (?P<y>\d+), (?P<z>\d+)\) is "
-            rf"(?P<neg>not )?(?P<cmp>less|greater) than (?P<num>{_NUM})"
-        ),
-        lambda m: Clause(
-            "absolute_distance",
-            negated=bool(m["neg"]),
-            args={
-                "point": [int(m["x"]), int(m["y"]), int(m["z"])],
-                "comparator": m["cmp"],
-                "threshold": float(m["num"]),
-            },
-        ),
-    ),
-    (
-        re.compile(
-            rf"that (?P<neg>did not increase|increased) (?P<axis>x|y|z) the most"
-        ),
-        lambda m: Clause(
-            "temporal_cardinal",
-            negated=m["neg"] == "did not increase",
-            args={"axis": m["axis"]},
-        ),
-    ),
-    (
-        re.compile(
-            rf"that (?P<neg>did not move|moved) to (?P<frame>{_FRAME}) "
-            rf"(?P<side>{_SIDE}) the most"
-        ),
-        lambda m: Clause(
-            "temporal_relative",
-            negated=m["neg"] == "did not move",
-            args={"frame": m["frame"], "side": m["side"]},
-        ),
-    ),
-    (
-        re.compile(r"that moved the farthest"),
-        lambda m: Clause("farthest_moved"),
-    ),
-    (
-        re.compile(rf"that is closest to (?P<ref>the {_WORD}|{_WORD})"),
-        lambda m: Clause("closest_object", args={"anchor": _parse_ref(m["ref"])}),
-    ),
-    (
-        re.compile(rf"that is the most to (?P<frame>{_FRAME}) (?P<side>{_SIDE})"),
-        lambda m: Clause("max_direction", args={"frame": m["frame"], "side": m["side"]}),
-    ),
-    (
-        re.compile(rf"(?P<neg>not )?to (?P<frame>{_FRAME}) (?P<side>{_SIDE})"),
-        lambda m: Clause(
-            "direction", negated=bool(m["neg"]), args={"frame": m["frame"], "side": m["side"]}
-        ),
-    ),
-]
-
-_HEAD_BY_TEXT = {text: key for key, text in _HEADS.items()}
-_HEAD_RE = re.compile("|".join(re.escape(t) for t in sorted(_HEAD_BY_TEXT, key=len, reverse=True)))
-
-
-def _parse_ref(text: str) -> dict:
-    if text == "me":
-        return {"by": "me"}
-    if text == "you":
-        return {"by": "you"}
-    if text.startswith("the "):
-        return {"by": "type", "word": text[4:]}
-    return {"by": "name", "word": text}
+    body = joiner.join(_render_clause(c) for c in form.clauses)
+    return f"{HEADS[(form.return_type, singular)]} {body}?"
 
 
 def _parse_fragment(text: str, offset: int) -> Clause:
-    for pattern, build in _FRAGMENT_PATTERNS:
-        m = pattern.fullmatch(text)
-        if m:
-            return build(m)
-    raise QueryParseError(f"unrecognized clause {text!r}", offset)
+    clause = _match_clause(text, _FILTER_ENTRIES)
+    if clause is None:
+        raise QueryParseError(f"unrecognized clause {text!r}", offset)
+    return clause
+
+
+def _read_form(text: str) -> QueryForm:
+    clause = _match_clause(text, _QUERY_ENTRIES)
+    if clause is not None:
+        return QueryForm(clauses=(clause,), return_type=FORCED_RETURN[clause.kind])
+    head = next((h for h in _HEAD_KEYS if text.startswith(h + " ")), None)
+    if head is None:
+        raise QueryParseError("no query head found", 0)
+    if not text.endswith("?"):
+        raise QueryParseError("malformed query body", len(head))
+    offset = len(head) + 1
+    body = text[offset:-1]
+    op = next((op for op in ("and", "or") if f" {op} " in body), None)
+    if op is None:
+        clauses = (_parse_fragment(body, offset),)
+    else:
+        left, right = body.split(f" {op} ", 1)
+        right_offset = offset + len(left) + len(op) + 2
+        clauses = (_parse_fragment(left, offset), _parse_fragment(right, right_offset))
+    try:
+        return QueryForm(clauses=clauses, return_type=_HEAD_KEYS[head][0], op=op)
+    except QueryFormError as exc:
+        raise QueryParseError(str(exc), offset) from exc
 
 
 def parse_form(query_text: str) -> QueryForm:
-    """Inverse of render_text. Raises QueryParseError on non-grammar text."""
-    text = query_text.strip()
-    for pattern, build in _VALUE_PATTERNS:
-        if pattern.fullmatch(text):
-            clause = build(pattern.fullmatch(text))
-            return QueryForm(clauses=(clause,), return_type=FORCED_RETURN[clause.kind])
-    head_match = _HEAD_RE.match(text)
-    if not head_match or head_match.start() != 0:
-        raise QueryParseError("no query head found", 0)
-    return_type, _singular = _HEAD_BY_TEXT[head_match.group(0)]
-    rest = text[head_match.end():]
-    if not rest.startswith(" ") or not rest.endswith("?"):
-        raise QueryParseError("malformed query body", head_match.end())
-    body = rest[1:-1]
-    offset = head_match.end() + 1
-    for op in (" and ", " or "):
-        if op in body:
-            left, right = body.split(op, 1)
-            clauses = (
-                _parse_fragment(left, offset),
-                _parse_fragment(right, offset + len(left) + len(op)),
-            )
-            try:
-                return QueryForm(clauses=clauses, return_type=return_type, op=op.strip())
-            except QueryFormError as exc:
-                raise QueryParseError(str(exc), offset) from exc
-    clause = _parse_fragment(body, offset)
-    try:
-        return QueryForm(clauses=(clause,), return_type=return_type)
-    except QueryFormError as exc:
-        raise QueryParseError(str(exc), offset) from exc
+    """Exact inverse of render_text. Raises QueryParseError on any other text."""
+    form = _read_form(query_text)
+    canonical = render_text(form)
+    if canonical != query_text:
+        position = next(
+            (i for i, (a, b) in enumerate(zip(canonical, query_text)) if a != b),
+            min(len(canonical), len(query_text)),
+        )
+        raise QueryParseError(f"text is not the rendering {canonical!r} of its form", position)
+    return form
 
 
 # --- sampling ----------------------------------------------------------------
@@ -525,11 +442,14 @@ def _property_words(snapshot: Snapshot) -> list[str]:
     return sorted(words)
 
 
+def _ref_options(snapshot: Snapshot, exclude: set[str] = frozenset()) -> list[dict]:
+    """Entities referable by unique name or by unique type word."""
+    options = [{"by": "name", "word": n} for n in _entity_names(snapshot) if n not in exclude]
+    return options + [{"by": "type", "word": w} for w in _unique_types(snapshot) if w not in exclude]
+
+
 def _sample_entity_ref(snapshot: Snapshot, rng: random.Random, exclude: set[str] = frozenset()) -> dict:
-    options: list[dict] = [
-        {"by": "name", "word": n} for n in _entity_names(snapshot) if n not in exclude
-    ]
-    options += [{"by": "type", "word": w} for w in _unique_types(snapshot) if w not in exclude]
+    options = _ref_options(snapshot, exclude)
     if not options:
         raise UnanswerableSceneError("no referenceable entity in scene")
     return rng.choice(options)
@@ -577,7 +497,7 @@ def _sample_clause(
     if kind == "absolute_cardinal":
         axis = rng.choice(AXES)
         values = [
-            oracle.position_of(obj)[AXES.index(axis)] for obj in last.reference_objects
+            object_position(obj)[AXES.index(axis)] for obj in last.reference_objects
         ]
         threshold = _sample_threshold(values, rng)
         if threshold is None:
@@ -600,49 +520,29 @@ def _sample_clause(
             negated,
             {"point": point, "comparator": rng.choice(COMPARATORS), "threshold": threshold},
         )
-    if kind == "direction":
-        return Clause(
-            "direction", negated, {"frame": rng.choice(FRAMES), "side": rng.choice(SIDES)}
-        )
+    if kind in ("direction", "temporal_relative", "max_direction"):
+        return Clause(kind, negated, {"frame": rng.choice(FRAMES), "side": rng.choice(SIDES)})
     if kind == "temporal_cardinal":
         return Clause("temporal_cardinal", negated, {"axis": rng.choice(AXES)})
-    if kind == "temporal_relative":
-        return Clause(
-            "temporal_relative",
-            negated,
-            {"frame": rng.choice(FRAMES), "side": rng.choice(SIDES)},
-        )
-    if kind == "farthest_moved":
-        return Clause("farthest_moved")
+    if kind in ("farthest_moved", "action"):
+        return Clause(kind)
     if kind == "location_at_time":
         time = rng.choice(TIMES)
         snapshot = snapshots[0] if time == "beginning" else last
         return Clause(
             "location_at_time", args={"ref": _sample_entity_ref(snapshot, rng), "time": time}
         )
-    if kind == "action":
-        return Clause("action")
     if kind == "object_tracking":
         speaker = next(e.name for e in last.entities() if e.kind == "player")
         ref = _sample_entity_ref(last, rng, exclude={speaker, "player"})
         target = [rng.randrange(config.world_size) for _ in range(3)]
         return Clause("object_tracking", args={"ref": ref, "target": target})
     if kind == "closest_object":
-        anchors = [{"by": "me"}, {"by": "you"}]
-        anchors += [{"by": "name", "word": n} for n in _entity_names(last)]
-        anchors += [{"by": "type", "word": w} for w in _unique_types(last)]
-        return Clause("closest_object", args={"anchor": rng.choice(anchors)})
-    if kind == "max_direction":
-        return Clause(
-            "max_direction", args={"frame": rng.choice(FRAMES), "side": rng.choice(SIDES)}
-        )
+        anchor = rng.choice([{"by": "me"}, {"by": "you"}] + _ref_options(last))
+        return Clause("closest_object", args={"anchor": anchor})
     if kind == "distance_between":
         a = _sample_entity_ref(last, rng)
-        b = rng.choice(
-            [{"by": "me"}, {"by": "you"}]
-            + [{"by": "name", "word": n} for n in _entity_names(last)]
-            + [{"by": "type", "word": w} for w in _unique_types(last)]
-        )
+        b = rng.choice([{"by": "me"}, {"by": "you"}] + _ref_options(last))
         if oracle.resolve_ref(a, last).memid == oracle.resolve_ref(b, last).memid:
             return None
         return Clause("distance_between", args={"a": a, "b": b})

@@ -24,7 +24,6 @@ where origin is the center cell; full details in FORMAT.md):
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -298,10 +297,6 @@ class ScenePools:
     shapes: tuple[str, ...] = SHAPES
 
     @classmethod
-    def default(cls) -> "ScenePools":
-        return cls(names=default_names())
-
-    @classmethod
     def from_config(cls, config: "GenConfig") -> "ScenePools":
         names = _load_words(Path(config.names_file)) if config.names_file else default_names()
         npc_types = (
@@ -361,13 +356,11 @@ def build_scene(config: "GenConfig", rng: random.Random) -> WorldState:
     """Build a fresh world: agent, player, NPCs and block objects.
 
     Pure in (config, rng state): the same seed always yields the same
-    world. Raises SceneCapacityError when the world is too small to
-    place everything within bounded retries.
+    world. Raises ConfigError for an invalid config, and
+    SceneCapacityError when the world is too small to place everything
+    within bounded retries.
     """
-    if config.world_size < 4:
-        raise ValueError("world_size must be at least 4")
-    if config.n_npcs < 0:
-        raise ValueError("n_npcs must be >= 0")
+    config.validate()
     pools = ScenePools.from_config(config)
     if config.n_npcs + 2 > len(pools.names):
         raise SceneCapacityError("name pool too small for requested entity count")

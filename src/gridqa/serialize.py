@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .worldcore import (
@@ -215,10 +215,27 @@ def write_samples(samples, path: str | Path) -> int:
     return count
 
 
-def read_samples(path: str | Path) -> list[Sample]:
+def read_jsonl(path: str | Path, build) -> list:
+    """build(record) for each non-blank line of a JSONL file, in file order.
+
+    Raises DatasetIOError naming the file, and the line when it is not
+    JSON or build rejects the record.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetIOError(f"failed reading dataset {path}: {exc}") from exc
-    return [Sample.from_record(json.loads(line)) for line in lines if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetIOError(f"failed reading {path}: {exc}") from exc
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(build(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetIOError(f"{path}, line {lineno}: not a valid record: {exc}") from exc
+    return out
+
+
+def read_samples(path: str | Path) -> list[Sample]:
+    return read_jsonl(path, Sample.from_record)

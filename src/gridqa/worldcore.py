@@ -137,10 +137,6 @@ def object_position(obj: RefObject) -> Vec3:
     return obj.pose.position if isinstance(obj, Entity) else obj.centroid
 
 
-def distance(a: Vec3, b: Vec3) -> float:
-    return math.dist(a, b)
-
-
 def look_vector(pose: Pose) -> Vec3:
     yaw = math.radians(pose.yaw)
     pitch = math.radians(pose.pitch)
@@ -198,16 +194,8 @@ class Snapshot:
     def blocks(self) -> list[BlockObject]:
         return [o for o in self.reference_objects if isinstance(o, BlockObject)]
 
-    def triples_for(self, memid: int) -> list[Triple]:
-        return [t for t in self.triples if t.subject_memid == memid]
-
     def memids(self) -> set[int]:
         return {o.memid for o in self.reference_objects}
-
-
-def lookup(snapshot: Snapshot, memid: int) -> RefObject:
-    """Resolve a memid in a snapshot; raises UnknownMemidError if absent."""
-    return snapshot.lookup(memid)
 
 
 @dataclass
@@ -306,12 +294,6 @@ class WorldState:
 
     def npcs(self) -> list[Entity]:
         return [e for e in self.entities if e.kind == NPC]
-
-    def reference_objects(self) -> list[RefObject]:
-        return list(self.entities) + list(self.block_objects)
-
-    def in_bounds(self, point: Vec3) -> bool:
-        return all(0.0 <= c < self.world_size for c in point)
 
     def clamp(self, point: Vec3) -> Vec3:
         hi = self.world_size - 0.1

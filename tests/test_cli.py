@@ -349,6 +349,27 @@ def test_main_inspect(tmp_path, capsys):
     assert code == 1
 
 
+def test_truncated_jsonl_exits_3_naming_file_and_line(tmp_path, capsys):
+    out = tmp_path / "ds"
+    main(["generate", "--out", str(out), "--n-samples", "3", "--set", "split_train=1.0",
+          "--set", "split_valid=0.0", "--set", "split_test=0.0"])
+    dataset = out / "train.jsonl"
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_bytes(dataset.read_bytes()[:-40])
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"sample_id": 0, "answer_text": "x"}\n{"sample_id": 1, "answ\n')
+    capsys.readouterr()
+    for argv, bad in (
+        (["validate", "--dataset", str(truncated)], truncated),
+        (["inspect", "--dataset", str(truncated), "--sample-id", "0"], truncated),
+        (["score", "--predictions", str(preds), "--references", str(dataset)], preds),
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}, line" in err
+        assert "Traceback" not in err
+
+
 def test_main_exit_codes(tmp_path, capsys):
     # config error
     bad = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,9 @@ from gridqa.querygen import (
     ALL_KINDS,
     ARGMAX_KINDS,
     COMBINABLE_KINDS,
+    HEADS,
     STANDALONE_KINDS,
+    TEMPLATES,
     VALUE_KINDS,
     Clause,
     QueryForm,
@@ -121,6 +124,15 @@ def test_parse_rejects_non_grammar_text():
     with pytest.raises(QueryParseError) as err:
         parse_form("what are the names of the objects that wiggle?")
     assert err.value.position > 0
+    # each parses to a valid form whose rendering differs from the text
+    for text in (
+        "what are the names of the objects that moved the farthest?",
+        "what are the properties of the object to my left?",
+        "what is the count of the objects where the x coordinate is less than 04?",
+    ):
+        with pytest.raises(QueryParseError) as err:
+            parse_form(text)
+        assert err.value.position > 0
 
 
 def test_round_trip_random_forms():
@@ -131,6 +143,12 @@ def test_round_trip_random_forms():
         parsed = parse_form(text)
         assert parsed == form, text
         assert render_text(parsed) == text
+        # the same body under the other head of its return type is not canonical
+        for (return_type, singular), head in HEADS.items():
+            other = HEADS.get((return_type, not singular))
+            if other and text.startswith(head + " "):
+                with pytest.raises(QueryParseError):
+                    parse_form(other + text[len(head):])
 
 
 def test_threshold_decimals_round_trip():
@@ -240,3 +258,11 @@ def test_kind_catalog_is_complete():
     }
     assert VALUE_KINDS < STANDALONE_KINDS
     assert ARGMAX_KINDS & COMBINABLE_KINDS == {"temporal_cardinal", "temporal_relative"}
+
+
+def test_format_md_lists_every_template_and_head():
+    text = (Path(__file__).resolve().parents[1] / "FORMAT.md").read_text(encoding="utf-8")
+    for head in HEADS.values():
+        assert f"`{head}`" in text, head
+    for kind, _fixed, template in TEMPLATES:
+        assert f"{kind} " in text and template in text, template

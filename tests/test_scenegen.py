@@ -134,7 +134,7 @@ def test_capacity_error_when_world_too_small():
 
 
 def test_default_pools():
-    pools = ScenePools.default()
+    pools = ScenePools.from_config(GenConfig())
     assert len(pools.names) == 254
     assert pools.names[0] == "abigail"
     assert len(set(pools.names)) == 254

@@ -17,7 +17,6 @@ from gridqa.worldcore import (
     derive_memid,
     horizontal_direction,
     look_vector,
-    lookup,
     memid_hex,
     take_snapshot,
 )
@@ -90,12 +89,12 @@ def test_lookup_agent_and_triple_subjects():
     world = minimal_world()
     snap = take_snapshot(world, 0)
     agent_memid = world.agent().memid
-    assert lookup(snap, agent_memid).kind == AGENT
+    assert snap.lookup(agent_memid).kind == AGENT
     for triple in snap.triples:
-        obj = lookup(snap, triple.subject_memid)
+        obj = snap.lookup(triple.subject_memid)
         assert obj.memid == triple.subject_memid
     with pytest.raises(UnknownMemidError):
-        lookup(snap, 12345)
+        snap.lookup(12345)
 
 
 def test_destroyed_block_memid_found_before_not_after():
@@ -105,9 +104,9 @@ def test_destroyed_block_memid_found_before_not_after():
     task = Task("destroy", {"target_memid": block.memid}, duration=1, start_step=0)
     step_world(world, 1, task, random.Random(0))
     after = take_snapshot(world, 1)
-    assert lookup(before, block.memid).shape == "cube"
+    assert before.lookup(block.memid).shape == "cube"
     with pytest.raises(UnknownMemidError):
-        lookup(after, block.memid)
+        after.lookup(block.memid)
 
 
 def test_referential_integrity_many_scenes():
