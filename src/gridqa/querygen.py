@@ -341,7 +341,7 @@ _HEAD_KEYS = {text: key for key, text in HEADS.items()}
 def _render_clause(clause: Clause) -> str:
     values = {"neg": clause.negated, **clause.args}
     for entry in _BY_KIND[clause.kind]:
-        if all(values.get(k) == v for k, v in entry.fixed.items()):
+        if entry.fixed.items() <= values.items():
             return entry.fmt.format_map(
                 {name: slot.render(values[name]) for name, slot in entry.slots.items()}
             )
@@ -377,12 +377,12 @@ def _parse_fragment(text: str, offset: int) -> Clause:
 
 
 def _read_form(text: str) -> QueryForm:
-    clause = _match_clause(text, _QUERY_ENTRIES)
-    if clause is not None:
-        return QueryForm(clauses=(clause,), return_type=FORCED_RETURN[clause.kind])
     head = next((h for h in _HEAD_KEYS if text.startswith(h + " ")), None)
     if head is None:
-        raise QueryParseError("no query head found", 0)
+        clause = _match_clause(text, _QUERY_ENTRIES)
+        if clause is None:
+            raise QueryParseError("no query head found", 0)
+        return QueryForm(clauses=(clause,), return_type=FORCED_RETURN[clause.kind])
     if not text.endswith("?"):
         raise QueryParseError("malformed query body", len(head))
     offset = len(head) + 1

@@ -264,5 +264,5 @@ def test_format_md_lists_every_template_and_head():
     text = (Path(__file__).resolve().parents[1] / "FORMAT.md").read_text(encoding="utf-8")
     for head in HEADS.values():
         assert f"`{head}`" in text, head
-    for kind, _fixed, template in TEMPLATES:
-        assert f"{kind} " in text and template in text, template
+    for _kind, _fixed, template in TEMPLATES:
+        assert template in text, template
