@@ -18,9 +18,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import struct
 import sys
+from contextlib import ExitStack
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -33,6 +35,7 @@ from .scenegen import SceneCapacityError
 from .serialize import (
     DatasetIOError,
     Sample,
+    encode_record,
     read_jsonl,
     read_relational_context,
     read_samples,
@@ -114,19 +117,40 @@ def generate_sample(config: GenConfig, index: int) -> Sample:
     )
 
 
-def generate(config: GenConfig, workers: int = 1) -> dict:
-    """Generate config.n_samples records across splits; returns the stats report."""
-    config.validate()
-    out_dir = Path(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        handles = {
-            split: (out_dir / f"{split}.jsonl").open("w", encoding="utf-8")
-            for split in SPLITS
-        }
-    except OSError as exc:
-        raise DatasetIOError(f"cannot open output files in {out_dir}: {exc}") from exc
+def _encoded_sample(config: GenConfig, index: int) -> tuple[int, str, str, int, str]:
+    """(index, query class, return type, scene attempt, JSONL line) for one index.
 
+    Runs in the worker, so the parent receives a finished line instead of
+    a Sample to unpickle and encode.
+    """
+    sample = generate_sample(config, index)
+    return (
+        index,
+        sample.query_class,
+        sample.query_logical_form["return_type"],
+        sample.generation_metadata["scene_attempt"],
+        encode_record(sample.to_record()),
+    )
+
+
+def generate(config: GenConfig, workers: int = 1) -> dict:
+    """Generate config.n_samples records across splits; returns the stats report.
+
+    With workers > 1 a process pool generates the samples and each worker
+    returns its records as encoded JSON lines; the parent only assigns
+    splits, writes the lines and counts the stats. Besides the split
+    files, out_dir gets stats.json and config.cfg (the effective config,
+    loadable by `validate --config`). All of them are written to
+    temporary files in out_dir and renamed into place after the last
+    record, so a failed run leaves none of them.
+    """
+    config.validate()
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ConfigError(f"workers: must be between 1 and the CPU count {cpus}, got {workers}")
+    out_dir = Path(config.out_dir)
+    names = [f"{split}.jsonl" for split in SPLITS] + ["stats.json", "config.cfg"]
+    temps = {name: out_dir / f".{name}.tmp" for name in names}
     stats = {
         "n_samples": 0,
         "by_class": {},
@@ -137,37 +161,48 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
         "seed": config.seed,
     }
     try:
-        indices = range(config.n_samples)
-        if workers > 1:
-            pool = Pool(workers)
-            samples = pool.imap(partial(generate_sample, config), indices, chunksize=16)
-        else:
-            pool = None
-            samples = map(partial(generate_sample, config), indices)
-        for sample in samples:
-            split = split_of(config, sample.sample_id)
-            handles[split].write(json.dumps(sample.to_record(), sort_keys=True))
-            handles[split].write("\n")
-            stats["n_samples"] += 1
-            stats["by_split"][split] += 1
-            cls = sample.query_class
-            stats["by_class"][cls] = stats["by_class"].get(cls, 0) + 1
-            rt = sample.query_logical_form["return_type"]
-            stats["by_return_type"][rt] = stats["by_return_type"].get(rt, 0) + 1
-            stats["scene_regenerations"] += sample.generation_metadata["scene_attempt"]
-        if pool is not None:
-            pool.close()
-            pool.join()
-    finally:
-        for handle in handles.values():
-            handle.close()
-
-    try:
-        (out_dir / "stats.json").write_text(
-            json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise DatasetIOError(f"cannot write stats report: {exc}") from exc
+        raise DatasetIOError(f"cannot create output directory {out_dir}: {exc}") from exc
+    try:
+        with ExitStack() as stack:
+            try:
+                handles = {
+                    split: stack.enter_context(
+                        temps[f"{split}.jsonl"].open("w", encoding="utf-8")
+                    )
+                    for split in SPLITS
+                }
+            except OSError as exc:
+                raise DatasetIOError(f"cannot open output files in {out_dir}: {exc}") from exc
+            work = partial(_encoded_sample, config)
+            indices = range(config.n_samples)
+            if workers > 1:
+                rows = stack.enter_context(Pool(workers)).imap(work, indices, chunksize=16)
+            else:
+                rows = map(work, indices)
+            for index, query_class, return_type, attempt, line in rows:
+                split = split_of(config, index)
+                handles[split].write(line)
+                stats["n_samples"] += 1
+                stats["by_split"][split] += 1
+                stats["by_class"][query_class] = stats["by_class"].get(query_class, 0) + 1
+                stats["by_return_type"][return_type] = (
+                    stats["by_return_type"].get(return_type, 0) + 1
+                )
+                stats["scene_regenerations"] += attempt
+        try:
+            temps["stats.json"].write_text(
+                json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
+            temps["config.cfg"].write_text(config.canonical_text() + "\n", encoding="utf-8")
+            for name, path in temps.items():
+                os.replace(path, out_dir / name)
+        except OSError as exc:
+            raise DatasetIOError(f"cannot write outputs in {out_dir}: {exc}") from exc
+    finally:
+        for path in temps.values():
+            path.unlink(missing_ok=True)
     return stats
 
 

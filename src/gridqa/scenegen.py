@@ -24,6 +24,7 @@ where origin is the center cell; full details in FORMAT.md):
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -282,7 +283,9 @@ def _load_words(path: Path) -> tuple[str, ...]:
     return words
 
 
+@functools.cache
 def default_names() -> tuple[str, ...]:
+    """The packaged name pool, read once per process (the tuple is immutable)."""
     text = resources.files("gridqa.data").joinpath("names.txt").read_text("utf-8")
     return tuple(w.strip() for w in text.splitlines() if w.strip())
 

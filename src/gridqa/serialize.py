@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .worldcore import (
@@ -193,11 +193,17 @@ class Sample:
     format_version: int = FORMAT_VERSION
 
     def to_record(self) -> dict:
-        return asdict(self)
+        """Shallow field dict: nested values are shared with the sample, not copied."""
+        return dict(vars(self))
 
     @classmethod
     def from_record(cls, record: dict) -> "Sample":
         return cls(**record)
+
+
+def encode_record(record: dict) -> str:
+    """One dataset line: the record as sorted-key JSON plus a newline."""
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def write_samples(samples, path: str | Path) -> int:
@@ -207,8 +213,7 @@ def write_samples(samples, path: str | Path) -> int:
     try:
         with path.open("w", encoding="utf-8") as handle:
             for sample in samples:
-                handle.write(json.dumps(sample.to_record(), sort_keys=True))
-                handle.write("\n")
+                handle.write(encode_record(sample.to_record()))
                 count += 1
     except OSError as exc:
         raise DatasetIOError(f"failed writing dataset {path}: {exc}") from exc

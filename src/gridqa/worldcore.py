@@ -296,8 +296,14 @@ class WorldState:
         return [e for e in self.entities if e.kind == NPC]
 
     def clamp(self, point: Vec3) -> Vec3:
+        # snap_coord inlined per axis: same arithmetic, no call per coordinate.
         hi = self.world_size - 0.1
-        return tuple(snap_coord(min(max(c, 0.0), hi)) for c in point)  # type: ignore[return-value]
+        x, y, z = point
+        return (
+            round(min(max(x, 0.0), hi) * 10.0) / 10.0,
+            round(min(max(y, 0.0), hi) * 10.0) / 10.0,
+            round(min(max(z, 0.0), hi) * 10.0) / 10.0,
+        )
 
 
 def take_snapshot(world: WorldState, time_index: int) -> Snapshot:

@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
+from gridqa import cli
 from gridqa.cli import (
     AlignmentError,
+    GenerationCapacityError,
     format_dump,
     generate,
     generate_sample,
@@ -165,10 +169,37 @@ def test_generate_parallel_matches_serial(tmp_path):
     parallel = small_config(tmp_path, out_dir=str(tmp_path / "parallel"))
     generate(serial, workers=1)
     generate(parallel, workers=2)
-    for split in ("train", "valid", "test"):
-        a = (Path(serial.out_dir) / f"{split}.jsonl").read_bytes()
-        b = (Path(parallel.out_dir) / f"{split}.jsonl").read_bytes()
+    for name in ("train.jsonl", "valid.jsonl", "test.jsonl", "stats.json"):
+        a = (Path(serial.out_dir) / name).read_bytes()
+        b = (Path(parallel.out_dir) / name).read_bytes()
         assert a == b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_generate_leaves_no_files_and_no_children(tmp_path, monkeypatch, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched generate_sample only when forked")
+    real = cli.generate_sample
+
+    def failing(config, index):
+        if index == 5:
+            raise GenerationCapacityError(f"sample {index}: injected failure")
+        return real(config, index)
+
+    monkeypatch.setattr(cli, "generate_sample", failing)
+    config = small_config(tmp_path)
+    with pytest.raises(GenerationCapacityError, match="injected"):
+        generate(config, workers=workers)
+    assert list(Path(config.out_dir).iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, (os.cpu_count() or 1) + 1])
+def test_workers_out_of_range_exit_1_before_any_output(tmp_path, capsys, workers):
+    out = tmp_path / "ds"
+    assert main(["generate", "--out", str(out), "--n-samples", "2", "--workers", str(workers)]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # sha256 over train, valid and test (in that order) for 30 samples at seed 7.
@@ -284,6 +315,14 @@ def test_validate_with_the_generating_config_file(tmp_path, capsys):
     out = tmp_path / "ds"
     assert main(["generate", "--config", str(config_path), "--out", str(out)]) == 0
     code = main(["validate", "--dataset", str(out / "train.jsonl"), "--config", str(config_path)])
+    assert capsys.readouterr().err == ""
+    assert code == 0
+    # generate also writes the effective config, which regenerates the same records
+    effective = apply_overrides(load_config(config_path), [f"out_dir={out}"])
+    written = load_config(out / "config.cfg")
+    assert written == effective
+    assert written.digest() == effective.digest()
+    code = main(["validate", "--dataset", str(out / "train.jsonl"), "--config", str(out / "config.cfg")])
     assert capsys.readouterr().err == ""
     assert code == 0
 

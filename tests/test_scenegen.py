@@ -11,6 +11,7 @@ from gridqa.scenegen import (
     ScenePools,
     UnknownShapeError,
     build_scene,
+    default_names,
     make_shape,
     sample_shape_params,
 )
@@ -143,12 +144,20 @@ def test_default_pools():
     assert len(pools.shapes) == 19
 
 
+def test_default_names_is_read_once():
+    assert default_names() is default_names()
+    assert ScenePools.from_config(GenConfig()).names is default_names()
+
+
 def test_pool_overrides(tmp_path):
     names = tmp_path / "names.txt"
     names.write_text("ada\ngrace\nkatherine\n", encoding="utf-8")
     config = GenConfig(names_file=str(names), n_npcs=1, n_blocks_min=0, n_blocks_max=0)
     world = build_scene(config, random.Random(0))
     assert {e.name for e in world.entities} <= {"ada", "grace", "katherine"}
+    assert ScenePools.from_config(config).names == ("ada", "grace", "katherine")
+    names.write_text("hedy\n", encoding="utf-8")
+    assert ScenePools.from_config(config).names == ("hedy",)
 
 
 def test_npc_colors_and_types_from_pools():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -10,6 +11,7 @@ from gridqa.cli import generate_sample
 from gridqa.serialize import (
     DatasetIOError,
     Sample,
+    encode_record,
     read_relational_context,
     read_samples,
     relational_ids,
@@ -149,6 +151,21 @@ def test_write_and_read_samples_round_trip(tmp_path):
     back = read_samples(path)
     assert [s.to_record() for s in back] == [s.to_record() for s in samples]
     assert len(path.read_text().splitlines()) == 8
+
+
+@pytest.mark.parametrize("preset", ["default", "properties"])
+def test_shallow_record_encodes_like_asdict(preset):
+    config = GenConfig.properties_mode() if preset == "properties" else GenConfig()
+    for index in range(20):
+        sample = generate_sample(config, index)
+        record = sample.to_record()
+        assert json.dumps(record, sort_keys=True) == json.dumps(
+            dataclasses.asdict(sample), sort_keys=True
+        )
+        assert Sample.from_record(record) == sample
+        line = encode_record(record)
+        assert line == json.dumps(record, sort_keys=True) + "\n"
+        assert encode_record(Sample.from_record(json.loads(line)).to_record()) == line
 
 
 def test_write_zero_samples(tmp_path):

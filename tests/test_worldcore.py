@@ -18,6 +18,8 @@ from gridqa.worldcore import (
     horizontal_direction,
     look_vector,
     memid_hex,
+    WorldState,
+    snap_coord,
     take_snapshot,
 )
 
@@ -28,6 +30,17 @@ def test_pose_normalizes_yaw_and_clamps_pitch():
     assert p.pitch == 90.0
     assert Pose(0, 0, 0, yaw=-90.0).yaw == 270.0
     assert Pose(0, 0, 0, pitch=-123.0).pitch == -90.0
+
+
+def test_clamp_equals_per_coordinate_snap():
+    rng = random.Random(3)
+    for size in (4, 15, 30):
+        world = WorldState(world_size=size, seed=0)
+        hi = size - 0.1
+        for _ in range(500):
+            point = tuple(rng.uniform(-3.0, size + 3.0) for _ in range(3))
+            expected = tuple(snap_coord(min(max(c, 0.0), hi)) for c in point)
+            assert world.clamp(point) == expected
 
 
 def test_memids_deterministic_and_distinct():
