@@ -140,7 +140,8 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
     returns its records as encoded JSON lines; the parent only assigns
     splits, writes the lines and counts the stats. Besides the split
     files, out_dir gets stats.json and config.cfg (the effective config,
-    loadable by `validate --config`). All of them are written to
+    loadable by `validate --config`; a config whose values would not read
+    back from it is refused up front). All of them are written to
     temporary files in out_dir and renamed into place after the last
     record, so a failed run leaves none of them.
     """
@@ -148,6 +149,8 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ConfigError(f"workers: must be between 1 and the CPU count {cpus}, got {workers}")
+    # config.cfg must load back to this config, or it would regenerate something else
+    config.check_round_trip()
     out_dir = Path(config.out_dir)
     names = [f"{split}.jsonl" for split in SPLITS] + ["stats.json", "config.cfg"]
     temps = {name: out_dir / f".{name}.tmp" for name in names}

@@ -1,14 +1,16 @@
 """Generation configuration.
 
-Config files are flat key-value text: one `key = value` pair per line,
-`#` starts a comment. Keys mirror the GenConfig field names. Unknown
-keys are rejected so typos surface early.
+Config files are flat key-value text: one `key = value` pair per line.
+A `#` at the start of a line or after whitespace starts a comment, so
+a value such as `a#b.txt` stays whole. Keys mirror the GenConfig field
+names. Unknown keys are rejected so typos surface early.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -133,6 +135,21 @@ class GenConfig:
     def canonical_text(self) -> str:
         return "\n".join(f"{f.name} = {_render(getattr(self, f.name))}" for f in fields(self))
 
+    def check_round_trip(self) -> None:
+        """Raise ConfigError naming a field that canonical_text() cannot carry.
+
+        A value with surrounding whitespace, a line break or a ` #` would
+        read back from config.cfg as something else.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                same = getattr(parse_config_text(f"{f.name} = {_render(value)}"), f.name) == value
+            except ConfigError:
+                same = False
+            if not same:
+                raise ConfigError(f"{f.name}: {value!r} does not read back from a config file")
+
 
 _RECORD_INDEPENDENT = frozenset(
     {"n_samples", "out_dir", "split_train", "split_valid", "split_test"}
@@ -176,11 +193,14 @@ def _resolve_pool_path(raw: str) -> str:
     return str(path)
 
 
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text: str, base: GenConfig | None = None) -> GenConfig:
     config = base or GenConfig()
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT_RE.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

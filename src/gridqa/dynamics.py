@@ -2,10 +2,12 @@
 
 Each world step NPCs take a random horizontal walk (probability 0.8 of
 moving, displacement length up to 0.5 units, yaw turned to the
-heading). The agent only moves or changes the world while executing a
-task. Task effects that create or remove block objects apply atomically
-at the task's final step, so any snapshot sees either no block or the
-whole block.
+heading). NPC poses, and the heading yaw of each NPC's last move, are
+set once at the end of each `step_world` call; no task reads an NPC's
+yaw in between. The agent only moves or changes the world while
+executing a task. Task effects that create or remove block objects
+apply atomically at the task's final step, so any snapshot sees either
+no block or the whole block.
 
 Speeds: the move task steps at 0.5 units per step; follow pursues at
 0.8 units per step so it gains on a fleeing walker.
@@ -34,6 +36,7 @@ MOVE_SPEED = 0.5
 FOLLOW_SPEED = 0.8
 NPC_MOVE_PROB = 0.8
 NPC_MAX_STEP = 0.5
+_FULL_TURN = 2.0 * math.pi
 
 
 class InvalidTaskError(ValueError):
@@ -102,19 +105,6 @@ def _heading_yaw(dx: float, dz: float) -> float:
     return float(round(math.degrees(math.atan2(-dx, dz)))) % 360.0
 
 
-def _walk_npcs(world: WorldState, rng: random.Random) -> None:
-    for npc in world.npcs():
-        if rng.random() >= NPC_MOVE_PROB:
-            continue
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        length = rng.uniform(0.0, NPC_MAX_STEP)
-        dx = length * math.cos(angle)
-        dz = length * math.sin(angle)
-        pose = npc.pose
-        x, y, z = world.clamp((pose.x + dx, pose.y, pose.z + dz))
-        npc.pose = Pose(x, y, z, pitch=pose.pitch, yaw=_heading_yaw(dx, dz))
-
-
 def _step_towards(world: WorldState, entity: Entity, target: Vec3, speed: float) -> None:
     pose = entity.pose
     delta = (target[0] - pose.x, target[1] - pose.y, target[2] - pose.z)
@@ -127,17 +117,21 @@ def _step_towards(world: WorldState, entity: Entity, target: Vec3, speed: float)
     entity.pose = Pose(x, y, z, pitch=pose.pitch, yaw=_heading_yaw(delta[0], delta[2]))
 
 
-def _apply_task_step(world: WorldState, task: Task, is_final: bool) -> None:
+def _apply_task_step(world: WorldState, task: Task, is_final: bool, walkers: dict) -> None:
     agent = world.agent()
     params = task.parameters
     if task.kind == "move":
         _step_towards(world, agent, tuple(params["target"]), MOVE_SPEED)
     elif task.kind == "follow":
-        try:
-            target = world.get_entity(params["target_memid"])
-        except UnknownMemidError:
-            raise InvalidTaskError("follow target is not in the world") from None
-        _step_towards(world, agent, target.pose.position, FOLLOW_SPEED)
+        walker = walkers.get(params["target_memid"])
+        if walker is not None:
+            target = walker[:3]
+        else:
+            try:
+                target = world.get_entity(params["target_memid"]).pose.position
+            except UnknownMemidError:
+                raise InvalidTaskError("follow target is not in the world") from None
+        _step_towards(world, agent, target, FOLLOW_SPEED)
     elif is_final:
         if task.kind == "build":
             voxels = scenegen.make_shape(
@@ -165,6 +159,11 @@ def step_world(
     Mutates and returns the same WorldState. The task's start_step is an
     absolute clock value, so stepping may be split into segments (for
     snapshotting) and the task still executes on its own interval.
+
+    NPCs walk on plain floats for the whole call; each NPC that moved
+    gets one new Pose at the end, facing the heading of its last move.
+    That also happens when a task step raises, so the NPCs stay where
+    their moves up to the failing step put them.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -175,24 +174,48 @@ def step_world(
         if target not in known and not task._done:
             raise InvalidTaskError(f"task target {memid_hex(target)} not in world")
     rng = rng or random.Random(0)
-    for _ in range(n_steps):
-        _walk_npcs(world, rng)
-        if task is not None and not task._done:
-            end = task.start_step + task.duration
-            if task.start_step <= world.clock < end:
-                is_final = world.clock == end - 1
-                _apply_task_step(world, task, is_final)
-                if is_final:
-                    task._done = True
-                    world.action_log.append(
-                        ActionRecord(
-                            actor_memid=world.agent().memid,
-                            action_name=task.kind,
-                            parameters=task.log_parameters(),
-                            step_interval=(task.start_step, end),
+    npcs = world.npcs()
+    # [x, y, z, last dx, last dz] per NPC; last dx stays None until it moves
+    walkers = {npc.memid: [*npc.pose.position, None, 0.0] for npc in npcs}
+    hi = world.world_size - 0.1
+    draw, cos, sin = rng.random, math.cos, math.sin
+    try:
+        for _ in range(n_steps):
+            for s in walkers.values():
+                if draw() >= NPC_MOVE_PROB:
+                    continue
+                # rng.uniform(0, b) is 0.0 + b * random(): the same draws, inlined
+                angle = _FULL_TURN * draw()
+                length = NPC_MAX_STEP * draw()
+                dx = length * cos(angle)
+                dz = length * sin(angle)
+                x, y, z = s[0] + dx, s[1], s[2] + dz
+                # WorldState.clamp, inlined
+                s[0] = round((0.0 if x < 0.0 else hi if x > hi else x) * 10.0) / 10.0
+                s[1] = round((0.0 if y < 0.0 else hi if y > hi else y) * 10.0) / 10.0
+                s[2] = round((0.0 if z < 0.0 else hi if z > hi else z) * 10.0) / 10.0
+                s[3] = dx
+                s[4] = dz
+            if task is not None and not task._done:
+                end = task.start_step + task.duration
+                if task.start_step <= world.clock < end:
+                    is_final = world.clock == end - 1
+                    _apply_task_step(world, task, is_final, walkers)
+                    if is_final:
+                        task._done = True
+                        world.action_log.append(
+                            ActionRecord(
+                                actor_memid=world.agent().memid,
+                                action_name=task.kind,
+                                parameters=task.log_parameters(),
+                                step_interval=(task.start_step, end),
+                            )
                         )
-                    )
-        world.clock += 1
+            world.clock += 1
+    finally:
+        for npc, (x, y, z, dx, dz) in zip(npcs, walkers.values()):
+            if dx is not None:
+                npc.pose = Pose(x, y, z, npc.pose.pitch, _heading_yaw(dx, dz))
     return world
 
 
@@ -236,15 +259,12 @@ def sample_task(world: WorldState, total_steps: int, config, rng: random.Random)
         for _ in range(20):
             params = scenegen.sample_shape_params(shape, rng)
             template = scenegen.make_shape(shape, params, (0, 0, 0))
-            min_c = [min(v[i] for v in template) for i in range(3)]
-            max_c = [max(v[i] for v in template) for i in range(3)]
-            if any(max_c[i] - min_c[i] >= world.world_size for i in range(3)):
+            ranges = scenegen.origin_ranges(template, world.world_size)
+            if ranges is None:
                 continue
-            ox = rng.randint(-min_c[0], world.world_size - 1 - max_c[0])
-            oy = -min_c[1] if kind == "dig" else rng.randint(
-                -min_c[1], world.world_size - 1 - max_c[1]
-            )
-            oz = rng.randint(-min_c[2], world.world_size - 1 - max_c[2])
+            ox = rng.randint(*ranges[0])
+            oy = ranges[1][0] if kind == "dig" else rng.randint(*ranges[1])
+            oz = rng.randint(*ranges[2])
             voxels = scenegen.make_shape(shape, params, (ox, oy, oz))
             if voxels & taken:
                 continue

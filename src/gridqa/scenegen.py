@@ -328,23 +328,32 @@ def _random_pose(world: WorldState, occupied: set[Cell], blocked: set[Cell], rng
     )
 
 
+def origin_ranges(template: frozenset[Cell], size: int) -> list[tuple[int, int]] | None:
+    """Per axis, the lowest and highest origin offset that keeps template in a size^3 world.
+
+    None when the template spans the whole world along some axis.
+    """
+    ranges = []
+    for coords in zip(*template):
+        low, high = min(coords), max(coords)
+        if high - low >= size:
+            return None
+        ranges.append((-low, size - 1 - high))
+    return ranges
+
+
 def _place_block(world: WorldState, shape: str, taken: set[Cell], rng: random.Random) -> frozenset[Cell]:
     size = world.world_size
     for _ in range(PLACEMENT_RETRIES):
         params = sample_shape_params(shape, rng)
         template = make_shape(shape, params, (0, 0, 0))
-        min_c = [min(v[i] for v in template) for i in range(3)]
-        max_c = [max(v[i] for v in template) for i in range(3)]
-        span = [max_c[i] - min_c[i] for i in range(3)]
-        if any(span[i] >= size for i in range(3)):
+        ranges = origin_ranges(template, size)
+        if ranges is None:
             continue
-        if shape == "hole":
-            # holes sit at the world floor, carved into the ground plane
-            oy = -min_c[1]
-        else:
-            oy = rng.randint(-min_c[1], size - 1 - max_c[1])
-        ox = rng.randint(-min_c[0], size - 1 - max_c[0])
-        oz = rng.randint(-min_c[2], size - 1 - max_c[2])
+        # holes sit at the world floor, carved into the ground plane
+        oy = ranges[1][0] if shape == "hole" else rng.randint(*ranges[1])
+        ox = rng.randint(*ranges[0])
+        oz = rng.randint(*ranges[2])
         voxels = frozenset((x + ox, y + oy, z + oz) for x, y, z in template)
         if voxels & taken:
             continue

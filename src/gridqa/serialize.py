@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .worldcore import (
@@ -161,8 +162,8 @@ def read_relational_context(context: dict) -> list[Snapshot]:
     snapshots = []
     for time_index in sorted(by_time):
         objs, triples = by_time[time_index]
-        objs.sort(key=lambda o: memid_hex(o.memid))
-        triples.sort(key=lambda t: memid_hex(t.t_id))
+        objs.sort(key=attrgetter("memid"))
+        triples.sort(key=attrgetter("t_id"))
         snapshots.append(Snapshot(time_index, tuple(objs), tuple(triples)))
     return snapshots
 

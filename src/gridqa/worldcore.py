@@ -24,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 AGENT = "agent"
 PLAYER = "player"
@@ -68,19 +70,25 @@ def round_half_away(v: float) -> int:
     return int(math.floor(v + 0.5)) if v >= 0 else -int(math.floor(-v + 0.5))
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Position plus view direction. yaw in [0, 360), pitch in [-90, 90]."""
-
+class _PoseFields(NamedTuple):
     x: float
     y: float
     z: float
     pitch: float = 0.0
     yaw: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "yaw", self.yaw % 360.0)
-        object.__setattr__(self, "pitch", max(-90.0, min(90.0, self.pitch)))
+
+class Pose(_PoseFields):
+    """Position plus view direction. yaw in [0, 360), pitch in [-90, 90].
+
+    An immutable (x, y, z, pitch, yaw) tuple; construction normalizes
+    the two angles.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float, pitch: float = 0.0, yaw: float = 0.0):
+        return tuple.__new__(cls, (x, y, z, max(-90.0, min(90.0, pitch)), yaw % 360.0))
 
     @property
     def position(self) -> Vec3:
@@ -172,7 +180,7 @@ class Snapshot:
     """Immutable, fully observed copy of the world at one recorded step.
 
     Reference objects and triples are stored in canonical order (sorted
-    by id hex) so equal world states produce equal snapshots.
+    by memid and t_id) so equal world states produce equal snapshots.
     """
 
     time_index: int
@@ -297,12 +305,13 @@ class WorldState:
 
     def clamp(self, point: Vec3) -> Vec3:
         # snap_coord inlined per axis: same arithmetic, no call per coordinate.
+        # With hi > 0 the comparisons give min(max(v, 0.0), hi) without two calls.
         hi = self.world_size - 0.1
         x, y, z = point
         return (
-            round(min(max(x, 0.0), hi) * 10.0) / 10.0,
-            round(min(max(y, 0.0), hi) * 10.0) / 10.0,
-            round(min(max(z, 0.0), hi) * 10.0) / 10.0,
+            round((0.0 if x < 0.0 else hi if x > hi else x) * 10.0) / 10.0,
+            round((0.0 if y < 0.0 else hi if y > hi else y) * 10.0) / 10.0,
+            round((0.0 if z < 0.0 else hi if z > hi else z) * 10.0) / 10.0,
         )
 
 
@@ -318,8 +327,9 @@ def take_snapshot(world: WorldState, time_index: int) -> Snapshot:
             f"{world._last_snapshot_time}"
         )
     world._last_snapshot_time = time_index
-    objects: list[RefObject] = [replace(e) for e in world.entities]
+    objects: list[RefObject] = [Entity(**vars(e)) for e in world.entities]
     objects.extend(world.block_objects)
-    objects.sort(key=lambda o: memid_hex(o.memid))
-    triples = sorted(world.triples, key=lambda t: memid_hex(t.t_id))
+    # memids are below 2**64, so the integer order is the order of memid_hex
+    objects.sort(key=attrgetter("memid"))
+    triples = sorted(world.triples, key=attrgetter("t_id"))
     return Snapshot(time_index, tuple(objects), tuple(triples))

@@ -20,6 +20,7 @@ from gridqa.cli import (
     validate_dataset,
 )
 from gridqa.config import ConfigError, GenConfig, apply_overrides, load_config, parse_config_text
+from gridqa.scenegen import default_names
 from gridqa.serialize import read_samples
 
 
@@ -200,6 +201,27 @@ def test_workers_out_of_range_exit_1_before_any_output(tmp_path, capsys, workers
     assert main(["generate", "--out", str(out), "--n-samples", "2", "--workers", str(workers)]) == 1
     assert "workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_hash_inside_a_value_round_trips(tmp_path):
+    pool = tmp_path / "a#b.txt"
+    pool.write_text("\n".join(default_names()) + "\n", encoding="utf-8")
+    config = GenConfig(names_file=str(pool))
+    assert parse_config_text(config.canonical_text()) == config
+    text = "# whole line\nout_dir = run#1  # trailing\nn_npcs = 3\t# tab\n"
+    assert parse_config_text(text) == GenConfig(out_dir="run#1", n_npcs=3)
+    run = small_config(tmp_path, n_samples=2, names_file=str(pool), out_dir=str(tmp_path / "o#1"))
+    generate(run)
+    assert load_config(tmp_path / "o#1" / "config.cfg") == run
+
+
+def test_value_that_does_not_round_trip_exits_1_before_any_output(tmp_path, capsys):
+    out = tmp_path / "x # y"
+    assert main(["generate", "--out", str(out), "--n-samples", "2"]) == 1
+    assert "out_dir" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ConfigError, match="names_file"):
+        GenConfig(names_file=" padded.txt").check_round_trip()
 
 
 # sha256 over train, valid and test (in that order) for 30 samples at seed 7.

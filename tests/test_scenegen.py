@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from gridqa.scenegen import (
     build_scene,
     default_names,
     make_shape,
+    origin_ranges,
     sample_shape_params,
 )
 from gridqa.serialize import render_relational_context
@@ -168,3 +170,22 @@ def test_npc_colors_and_types_from_pools():
     for block in world.block_objects:
         assert block.color in COLORS
         assert block.shape in SHAPES
+
+
+def test_origin_ranges_keep_every_voxel_inside_the_world():
+    rng = random.Random(5)
+    for shape in SHAPES:
+        for size in (4, 6, 15):
+            template = make_shape(shape, sample_shape_params(shape, rng), (0, 0, 0))
+            ranges = origin_ranges(template, size)
+            spans = [max(v[i] for v in template) - min(v[i] for v in template) for i in range(3)]
+            assert (ranges is None) == any(span >= size for span in spans)
+            if ranges is None:
+                continue
+            # the extreme origins put the template against each wall
+            for ox, oy, oz in itertools.product(*ranges):
+                cells = {(x + ox, y + oy, z + oz) for x, y, z in template}
+                assert all(0 <= c < size for cell in cells for c in cell)
+            for axis, (low, high) in enumerate(ranges):
+                assert min(v[axis] for v in template) + low == 0
+                assert max(v[axis] for v in template) + high == size - 1

@@ -1,3 +1,5 @@
+import json
+import pickle
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from conftest import make_episode, minimal_world, simple_world
 from gridqa import GenConfig
 from gridqa.dynamics import Task, step_world
+from gridqa.serialize import read_relational_context, render_relational_context
 from gridqa.worldcore import (
     AGENT,
     NPC,
@@ -32,13 +35,31 @@ def test_pose_normalizes_yaw_and_clamps_pitch():
     assert Pose(0, 0, 0, pitch=-123.0).pitch == -90.0
 
 
+def test_pose_is_immutable_picklable_and_keeps_its_repr():
+    pose = Pose(1.0, 2.0, 3.0, pitch=-12.0, yaw=725.0)
+    with pytest.raises(AttributeError):
+        pose.x = 5.0
+    restored = pickle.loads(pickle.dumps(pose))
+    assert restored == pose and type(restored) is Pose
+    assert (restored.pitch, restored.yaw) == (-12.0, 5.0)
+    # the repr the frozen dataclass printed
+    assert repr(Pose(1.0, 2.0, 3.0)) == "Pose(x=1.0, y=2.0, z=3.0, pitch=0.0, yaw=0.0)"
+    assert pose.position == (1.0, 2.0, 3.0)
+    # the relational context rebuilds poses that compare equal
+    _, snapshots = make_episode(3)
+    restored = read_relational_context(json.loads(json.dumps(render_relational_context(snapshots))))
+    assert restored == snapshots
+    assert all(type(e.pose) is Pose for snap in restored for e in snap.entities())
+
+
 def test_clamp_equals_per_coordinate_snap():
     rng = random.Random(3)
     for size in (4, 15, 30):
         world = WorldState(world_size=size, seed=0)
         hi = size - 0.1
-        for _ in range(500):
-            point = tuple(rng.uniform(-3.0, size + 3.0) for _ in range(3))
+        edges = [(0.0, -0.0, hi), (hi, hi + 1e-12, -1e-12), (size, -size, 0.05)]
+        points = edges + [tuple(rng.uniform(-3.0, size + 3.0) for _ in range(3)) for _ in range(500)]
+        for point in points:
             expected = tuple(snap_coord(min(max(c, 0.0), hi)) for c in point)
             assert world.clamp(point) == expected
 
