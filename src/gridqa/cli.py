@@ -24,7 +24,7 @@ import struct
 import sys
 from contextlib import ExitStack
 from functools import partial
-from multiprocessing import Pool
+from multiprocessing import Lock, Pool, SimpleQueue
 from pathlib import Path
 
 from . import oracle
@@ -133,10 +133,51 @@ def _encoded_sample(config: GenConfig, index: int) -> tuple[int, str, str, int, 
     )
 
 
+def _worker_cpu_sets(workers: int) -> list[set[int]] | None:
+    """Disjoint sets of this process's CPUs, one per pool worker, or None
+    where the platform cannot bind a process or there are fewer CPUs than workers."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    if workers > len(cpus):
+        return None
+    return [set(cpus[i::workers]) for i in range(workers)]
+
+
+def _bind_worker(cpu_sets, lock) -> None:
+    """Pool initializer: bind this worker to the next CPU set in the
+    `cpu_sets` SimpleQueue, taken under `lock`.
+
+    A worker that finds none left (one started to replace a dead worker)
+    stays unbound.
+    """
+    with lock:
+        cpus = None if cpu_sets.empty() else cpu_sets.get()
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
+
+
+def _open_pool(workers: int):
+    """A pool whose workers run on disjoint CPUs.
+
+    Left to itself the scheduler often wakes both workers on the parent's
+    CPU and leaves them sharing it, with another CPU idle, for a whole
+    short run; that halves the throughput of some runs and not of others.
+    """
+    cpu_sets = _worker_cpu_sets(workers)
+    if cpu_sets is None:
+        return Pool(workers)
+    unclaimed = SimpleQueue()
+    for cpus in cpu_sets:
+        unclaimed.put(cpus)
+    return Pool(workers, initializer=_bind_worker, initargs=(unclaimed, Lock()))
+
+
 def generate(config: GenConfig, workers: int = 1) -> dict:
     """Generate config.n_samples records across splits; returns the stats report.
 
-    With workers > 1 a process pool generates the samples and each worker
+    With workers > 1 a process pool, its workers bound to disjoint CPUs
+    where the platform allows, generates the samples and each worker
     returns its records as encoded JSON lines; the parent only assigns
     splits, writes the lines and counts the stats. Besides the split
     files, out_dir gets stats.json and config.cfg (the effective config,
@@ -181,7 +222,7 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
             work = partial(_encoded_sample, config)
             indices = range(config.n_samples)
             if workers > 1:
-                rows = stack.enter_context(Pool(workers)).imap(work, indices, chunksize=16)
+                rows = stack.enter_context(_open_pool(workers)).imap(work, indices, chunksize=16)
             else:
                 rows = map(work, indices)
             for index, query_class, return_type, attempt, line in rows:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,40 @@ def test_generate_parallel_matches_serial(tmp_path):
         a = (Path(serial.out_dir) / name).read_bytes()
         b = (Path(parallel.out_dir) / name).read_bytes()
         assert a == b
+
+
+def _worker_affinity(_):
+    time.sleep(0.05)  # keep this worker busy so the next task goes to another
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU binding here")
+def test_worker_cpu_sets_split_the_cpus_of_this_process():
+    cpus = os.sched_getaffinity(0)
+    for workers in range(1, len(cpus) + 1):
+        sets = cli._worker_cpu_sets(workers)
+        assert len(sets) == workers
+        assert all(sets)
+        assert set().union(*sets) == cpus
+        assert sum(map(len, sets)) == len(cpus)
+    assert cli._worker_cpu_sets(len(cpus) + 1) is None
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU binding and two CPUs",
+)
+def test_pool_workers_run_on_disjoint_cpus():
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers import this test module only when forked")
+    expected = {frozenset(cpus) for cpus in cli._worker_cpu_sets(2)}
+    with cli._open_pool(2) as pool:
+        seen = dict(pool.map(_worker_affinity, range(4), chunksize=1))
+    assert set(seen.values()) <= expected
+    assert len(set(seen.values())) == len(seen)
+    # a worker started after the CPU sets are all claimed stays unbound, without waiting
+    cli._bind_worker(multiprocessing.SimpleQueue(), multiprocessing.Lock())
+    assert os.sched_getaffinity(0) == set().union(*expected)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
