@@ -264,18 +264,27 @@ def test_value_that_does_not_round_trip_exits_1_before_any_output(tmp_path, caps
 GOLDEN_FINGERPRINTS = {
     "default": "49e4d2aaf373ca28c1eafc7bb0e63d69a9bc915d7f44dd9b8d7f68639792775b",
     "properties": "4f3d5fb051a8adb71f4d830d74065e0f093626d98e1c138329ad07a235a8a130",
+    "custom-names": "23fa644591d057f998f6952ac0e7af47e88725209832662d7dedc8de3815c5c5",
 }
+# nine names: the name draw runs on a pool other than the packaged one, and
+# config_digest hashes a pool file
+CUSTOM_NAMES = "ada\nalan\nbarbara\nclaude\nedsger\ngrace\nhedy\nkaren\nlinus\n"
 
 
-@pytest.mark.parametrize("preset", sorted(GOLDEN_FINGERPRINTS))
-def test_golden_fingerprint(tmp_path, preset):
-    base = GenConfig.properties_mode() if preset == "properties" else GenConfig()
-    config = dataclasses.replace(base, n_samples=30, seed=7, out_dir=str(tmp_path / preset))
+@pytest.mark.parametrize("case", sorted(GOLDEN_FINGERPRINTS))
+def test_golden_fingerprint(tmp_path, case):
+    base = GenConfig.properties_mode() if case == "properties" else GenConfig()
+    overrides = dict(n_samples=30, seed=7, out_dir=str(tmp_path / case))
+    if case == "custom-names":
+        names = tmp_path / "names.txt"
+        names.write_text(CUSTOM_NAMES, encoding="utf-8")
+        overrides["names_file"] = str(names)
+    config = dataclasses.replace(base, **overrides)
     generate(config)
     digest = hashlib.sha256()
     for split in ("train", "valid", "test"):
         digest.update((Path(config.out_dir) / f"{split}.jsonl").read_bytes())
-    assert digest.hexdigest() == GOLDEN_FINGERPRINTS[preset]
+    assert digest.hexdigest() == GOLDEN_FINGERPRINTS[case]
 
 
 # --- scoring ---------------------------------------------------------------------
