@@ -74,12 +74,17 @@ def split_of(config: GenConfig, index: int) -> str:
     return "test"
 
 
-def generate_sample(config: GenConfig, index: int) -> Sample:
+def generate_sample(config: GenConfig, index: int, config_digest: str | None = None) -> Sample:
     """Run the full pipeline for one sample index.
 
     Every random draw derives from (config.seed, index, scene attempt),
     so any index regenerates independently of the rest of the run.
+    config_digest is config.digest(), computed here when not given; a
+    run passes the one it computed at its start, so every record of the
+    run carries the same digest and the pool files are hashed once.
     """
+    if config_digest is None:
+        config_digest = config.digest()
     for attempt in range(config.scene_retries):
         sample_seed = _derive_seed(config.seed, index, attempt, b"scene")
         rng = random.Random(sample_seed)
@@ -108,7 +113,7 @@ def generate_sample(config: GenConfig, index: int) -> Sample:
                 "sample_index": index,
                 "sample_seed": sample_seed,
                 "scene_attempt": attempt,
-                "config_digest": config.digest(),
+                "config_digest": config_digest,
                 "action_log": [rec.to_json() for rec in world.action_log],
             },
         )
@@ -117,13 +122,15 @@ def generate_sample(config: GenConfig, index: int) -> Sample:
     )
 
 
-def _encoded_sample(config: GenConfig, index: int) -> tuple[int, str, str, int, str]:
+def _encoded_sample(
+    config: GenConfig, config_digest: str, index: int
+) -> tuple[int, str, str, int, str]:
     """(index, query class, return type, scene attempt, JSONL line) for one index.
 
     Runs in the worker, so the parent receives a finished line instead of
     a Sample to unpickle and encode.
     """
-    sample = generate_sample(config, index)
+    sample = generate_sample(config, index, config_digest)
     return (
         index,
         sample.query_class,
@@ -219,7 +226,7 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
                 }
             except OSError as exc:
                 raise DatasetIOError(f"cannot open output files in {out_dir}: {exc}") from exc
-            work = partial(_encoded_sample, config)
+            work = partial(_encoded_sample, config, stats["config_digest"])
             indices = range(config.n_samples)
             if workers > 1:
                 rows = stack.enter_context(_open_pool(workers)).imap(work, indices, chunksize=16)
@@ -330,6 +337,7 @@ def format_dump(sample: Sample) -> str:
 def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[str]:
     """Integrity checks for every record; returns a list of problems."""
     problems = []
+    config_digest = config.digest() if config is not None else None
     for sample in read_samples(path):
         label = f"sample {sample.sample_id}"
         if sample.format_version != 1:
@@ -351,7 +359,7 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
         except Exception as exc:
             problems.append(f"{label}: relational context unreadable: {exc}")
         if config is not None:
-            regenerated = generate_sample(config, sample.sample_id)
+            regenerated = generate_sample(config, sample.sample_id, config_digest)
             if regenerated.to_record() != sample.to_record():
                 problems.append(f"{label}: does not match regeneration from config")
     return problems

@@ -258,8 +258,7 @@ def sample_task(world: WorldState, total_steps: int, config, rng: random.Random)
         )
         for _ in range(20):
             params = scenegen.sample_shape_params(shape, rng)
-            template = scenegen.make_shape(shape, params, (0, 0, 0))
-            ranges = scenegen.origin_ranges(template, world.world_size)
+            _, ranges = scenegen.placement(shape, params, world.world_size)
             if ranges is None:
                 continue
             ox = rng.randint(*ranges[0])

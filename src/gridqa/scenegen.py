@@ -238,14 +238,42 @@ _BUILDERS = {
 SHAPES = tuple(_BUILDERS)
 
 
-def make_shape(shape: str, size_params: dict, origin: Cell) -> frozenset[Cell]:
-    """Build the voxel set for a catalog shape translated to origin."""
+def _params_key(params: dict) -> tuple:
+    """A hashable form of shape params: list values become tuples."""
+    return tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in params.items())
+
+
+@functools.cache
+def _template(shape: str, params_key: tuple) -> frozenset[Cell]:
     try:
         builder = _BUILDERS[shape]
     except KeyError:
         raise UnknownShapeError(f"unknown shape {shape!r}") from None
+    return frozenset(builder(dict(params_key)))
+
+
+def make_shape(shape: str, size_params: dict, origin: Cell) -> frozenset[Cell]:
+    """Build the voxel set for a catalog shape translated to origin."""
+    template = _template(shape, _params_key(size_params))
     ox, oy, oz = origin
-    return frozenset((x + ox, y + oy, z + oz) for x, y, z in builder(size_params))
+    if ox == oy == oz == 0:
+        return template
+    return frozenset([(x + ox, y + oy, z + oz) for x, y, z in template])
+
+
+@functools.cache
+def _placement(shape: str, params_key: tuple, size: int):
+    template = _template(shape, params_key)
+    return template, origin_ranges(template, size)
+
+
+def placement(shape: str, size_params: dict, size: int):
+    """(template at origin (0, 0, 0), its origin_ranges in a size^3 world).
+
+    Cached per (shape, params, size); sample_shape_params draws from a few
+    small values, so the cache stays small.
+    """
+    return _placement(shape, _params_key(size_params), size)
 
 
 def sample_shape_params(shape: str, rng: random.Random) -> dict:
@@ -312,20 +340,54 @@ class ScenePools:
 # --- scene assembly ---------------------------------------------------------
 
 
-def _random_pose(world: WorldState, occupied: set[Cell], blocked: set[Cell], rng: random.Random) -> Pose:
-    size = world.world_size
+def _random_pose(size: int, occupied: set[Cell], blocked: set[Cell], randbelow) -> Pose:
+    """A pose in a free cell, drawn with rng._randbelow: randrange(n) is
+    randbelow(n) and randint(a, b) is a + randbelow(b - a + 1), the same draws."""
     for _ in range(PLACEMENT_RETRIES):
-        cell = (rng.randrange(size), rng.randrange(size), rng.randrange(size))
+        cell = (randbelow(size), randbelow(size), randbelow(size))
         if cell in occupied or cell in blocked:
             continue
         occupied.add(cell)
-        x = snap_coord(cell[0] + rng.randint(0, 9) / 10.0)
-        y = snap_coord(cell[1] + rng.randint(0, 9) / 10.0)
-        z = snap_coord(cell[2] + rng.randint(0, 9) / 10.0)
-        return Pose(x, y, z, pitch=float(rng.randint(-45, 45)), yaw=float(rng.randint(0, 359)))
+        x = snap_coord(cell[0] + randbelow(10) / 10.0)
+        y = snap_coord(cell[1] + randbelow(10) / 10.0)
+        z = snap_coord(cell[2] + randbelow(10) / 10.0)
+        return Pose(x, y, z, pitch=float(randbelow(91) - 45), yaw=float(randbelow(360)))
     raise SceneCapacityError(
         f"could not place an entity in a {size}^3 world after {PLACEMENT_RETRIES} tries"
     )
+
+
+def _draw_names(pool: tuple[str, ...], k: int, rng: random.Random) -> list[str]:
+    """The first k names `names = list(pool); rng.shuffle(names)` then k
+    `names.pop()` calls give, with the same rng state afterwards.
+
+    Random.shuffle swaps position i with randbelow(i + 1) for i from the
+    end down; the last k positions are final once their swaps are done.
+    The remaining swaps only move names that are never popped, so they
+    are skipped, but their draws (getrandbits(n.bit_length()) until the
+    value is below n, as in Random._randbelow) are still taken.
+    """
+    names = list(pool)
+    randbelow = rng._randbelow
+    picked = []
+    for i in range(len(names) - 1, len(names) - 1 - k, -1):
+        if i == 0:  # shuffle leaves position 0 without a draw
+            picked.append(names[0])
+            break
+        j = randbelow(i + 1)
+        names[i], names[j] = names[j], names[i]
+        picked.append(names[i])
+    getrandbits = rng.getrandbits
+    n = len(names) - k
+    while n > 1:
+        # every n in [low, n] has the same bit length
+        bits = n.bit_length()
+        low = 1 << (bits - 1)
+        for m in range(n, low - 1, -1):
+            while getrandbits(bits) >= m:
+                pass
+        n = low - 1
+    return picked
 
 
 def origin_ranges(template: frozenset[Cell], size: int) -> list[tuple[int, int]] | None:
@@ -345,16 +407,14 @@ def origin_ranges(template: frozenset[Cell], size: int) -> list[tuple[int, int]]
 def _place_block(world: WorldState, shape: str, taken: set[Cell], rng: random.Random) -> frozenset[Cell]:
     size = world.world_size
     for _ in range(PLACEMENT_RETRIES):
-        params = sample_shape_params(shape, rng)
-        template = make_shape(shape, params, (0, 0, 0))
-        ranges = origin_ranges(template, size)
+        template, ranges = placement(shape, sample_shape_params(shape, rng), size)
         if ranges is None:
             continue
         # holes sit at the world floor, carved into the ground plane
         oy = ranges[1][0] if shape == "hole" else rng.randint(*ranges[1])
         ox = rng.randint(*ranges[0])
         oz = rng.randint(*ranges[2])
-        voxels = frozenset((x + ox, y + oy, z + oz) for x, y, z in template)
+        voxels = frozenset([(x + ox, y + oy, z + oz) for x, y, z in template])
         if voxels & taken:
             continue
         taken.update(voxels)
@@ -387,21 +447,22 @@ def build_scene(config: "GenConfig", rng: random.Random) -> WorldState:
         voxels = _place_block(world, shape, block_cells, rng)
         placed.append((shape, rng.choice(pools.colors), voxels))
 
-    names = list(pools.names)
-    rng.shuffle(names)
+    names = _draw_names(pools.names, config.n_npcs + 2, rng)
     occupied: set[Cell] = set()
+    randbelow = rng._randbelow
+    size = config.world_size
     world.add_entity(
-        AGENT, names.pop(), rng.choice(pools.colors),
-        _random_pose(world, occupied, block_cells, rng),
+        AGENT, names[0], rng.choice(pools.colors),
+        _random_pose(size, occupied, block_cells, randbelow),
     )
     world.add_entity(
-        PLAYER, names.pop(), rng.choice(pools.colors),
-        _random_pose(world, occupied, block_cells, rng),
+        PLAYER, names[1], rng.choice(pools.colors),
+        _random_pose(size, occupied, block_cells, randbelow),
     )
-    for _ in range(config.n_npcs):
+    for name in names[2:]:
         world.add_entity(
-            NPC, names.pop(), rng.choice(pools.colors),
-            _random_pose(world, occupied, block_cells, rng),
+            NPC, name, rng.choice(pools.colors),
+            _random_pose(size, occupied, block_cells, randbelow),
             npc_type=rng.choice(pools.npc_types),
         )
 

@@ -91,10 +91,24 @@ def render_text_context(snapshots: list[Snapshot], rng: random.Random) -> str:
 # --- relational context ---------------------------------------------------------
 
 
+class _Hexes(dict):
+    """memid -> memid_hex(memid), formatted on first lookup."""
+
+    def __missing__(self, memid: int) -> str:
+        text = self[memid] = memid_hex(memid)
+        return text
+
+
 def render_relational_context(snapshots: list[Snapshot]) -> dict:
-    """Graph encoding: reference-object nodes and triple nodes per snapshot."""
+    """Graph encoding: reference-object nodes and triple nodes per snapshot.
+
+    Each memid is formatted once per call, and each block's voxels are
+    sorted once per call: the nodes of one block share a voxel list.
+    """
     if not snapshots:
         raise ValueError("need at least one snapshot")
+    hexes = _Hexes()
+    sorted_voxels: dict[frozenset, list] = {}
     ref_nodes = []
     triple_nodes = []
     for snapshot in snapshots:
@@ -103,37 +117,35 @@ def render_relational_context(snapshots: list[Snapshot]) -> dict:
             if isinstance(obj, Entity):
                 ref_nodes.append(
                     {
-                        "reference_object_hash": memid_hex(obj.memid),
+                        "reference_object_hash": hexes[obj.memid],
                         "reference_objects_words": [obj.name, obj.type_word, obj.color],
-                        "reference_objects_float": [
-                            obj.pose.x,
-                            obj.pose.y,
-                            obj.pose.z,
-                            obj.pose.pitch,
-                            obj.pose.yaw,
-                        ],
+                        # a Pose is the tuple (x, y, z, pitch, yaw)
+                        "reference_objects_float": list(obj.pose),
                         "time_index": t,
                     }
                 )
             else:
+                voxels = sorted_voxels.get(obj.voxels)
+                if voxels is None:
+                    voxels = sorted_voxels[obj.voxels] = [list(v) for v in sorted(obj.voxels)]
                 cx, cy, cz = obj.centroid
                 ref_nodes.append(
                     {
-                        "reference_object_hash": memid_hex(obj.memid),
+                        "reference_object_hash": hexes[obj.memid],
                         "reference_objects_words": ["inst_seg", obj.shape, obj.color],
                         "reference_objects_float": [cx, cy, cz, 0.0, 0.0],
-                        "voxels": sorted(list(v) for v in obj.voxels),
+                        "voxels": voxels,
                         "time_index": t,
                     }
                 )
-        for triple in snapshot.triples:
-            triple_nodes.append(
-                {
-                    "triples_hash": [memid_hex(triple.t_id), memid_hex(triple.subject_memid)],
-                    "triples_words": [triple.predicate, triple.object_text],
-                    "time_index": t,
-                }
-            )
+        triple_nodes += [
+            {
+                "triples_hash": [hexes[t_id], hexes[subject_memid]],
+                "triples_words": [predicate, object_text],
+                "time_index": t,
+            }
+            for t_id, subject_memid, predicate, object_text in snapshot.triples
+        ]
     return {"reference_objects": ref_nodes, "triples": triple_nodes}
 
 

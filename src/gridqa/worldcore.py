@@ -25,6 +25,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -48,11 +49,12 @@ class SnapshotOrderError(ValueError):
     """Raised when snapshots are requested with non-increasing time indices."""
 
 
+_pack_memid_key = struct.Struct("<qq").pack
+
+
 def derive_memid(world_seed: int, counter: int) -> int:
     """Deterministic 64-bit id from the world seed and a creation counter."""
-    digest = hashlib.blake2b(
-        struct.pack("<qq", world_seed, counter), digest_size=8
-    ).digest()
+    digest = hashlib.blake2b(_pack_memid_key(world_seed, counter), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -114,14 +116,18 @@ class Entity:
 
 @dataclass(frozen=True)
 class BlockObject:
-    """A voxel structure (or hole). Voxels are integer grid cells."""
+    """A voxel structure (or hole). Voxels are integer grid cells.
+
+    The centroid is computed on first use and kept in the instance dict;
+    it is not a field, so it enters neither ==, hash nor repr.
+    """
 
     memid: int
     shape: str
     color: str
     voxels: frozenset[Cell]
 
-    @property
+    @cached_property
     def centroid(self) -> Vec3:
         n = len(self.voxels)
         sx = sum(v[0] for v in self.voxels)
@@ -130,8 +136,7 @@ class BlockObject:
         return (sx / n, sy / n, sz / n)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     t_id: int
     subject_memid: int
     predicate: str
@@ -187,14 +192,19 @@ class Snapshot:
     reference_objects: tuple[RefObject, ...]
     triples: tuple[Triple, ...]
 
+    @cached_property
+    def _by_memid(self) -> dict[int, RefObject]:
+        # built on first lookup; not a field, so == and repr ignore it
+        return {obj.memid: obj for obj in self.reference_objects}
+
     def lookup(self, memid: int) -> RefObject:
-        for obj in self.reference_objects:
-            if obj.memid == memid:
-                return obj
-        raise UnknownMemidError(memid)
+        try:
+            return self._by_memid[memid]
+        except KeyError:
+            raise UnknownMemidError(memid) from None
 
     def has_memid(self, memid: int) -> bool:
-        return any(obj.memid == memid for obj in self.reference_objects)
+        return memid in self._by_memid
 
     def entities(self) -> list[Entity]:
         return [o for o in self.reference_objects if isinstance(o, Entity)]
@@ -203,7 +213,7 @@ class Snapshot:
         return [o for o in self.reference_objects if isinstance(o, BlockObject)]
 
     def memids(self) -> set[int]:
-        return {o.memid for o in self.reference_objects}
+        return set(self._by_memid)
 
 
 @dataclass
@@ -257,12 +267,18 @@ class WorldState:
     ) -> Entity:
         entity = Entity(self.new_memid(), kind, name, color, pose, npc_type)
         self.entities.append(entity)
-        self.add_triple(entity.memid, "has_name", name)
-        self.add_triple(entity.memid, "has_type", entity.type_word)
-        self.add_triple(entity.memid, "has_colour", color)
+        type_word = entity.type_word
         # tags duplicate type and color so property filters catch both
-        self.add_triple(entity.memid, "has_tag", entity.type_word)
-        self.add_triple(entity.memid, "has_tag", color)
+        self._add_facts(
+            entity.memid,
+            (
+                ("has_name", name),
+                ("has_type", type_word),
+                ("has_colour", color),
+                ("has_tag", type_word),
+                ("has_tag", color),
+            ),
+        )
         return entity
 
     def add_block(self, shape: str, color: str, voxels: frozenset[Cell]) -> BlockObject:
@@ -270,16 +286,24 @@ class WorldState:
             raise ValueError("block object needs at least one voxel")
         block = BlockObject(self.new_memid(), shape, color, voxels)
         self.block_objects.append(block)
-        self.add_triple(block.memid, "has_tag", shape)
-        self.add_triple(block.memid, "has_colour", color)
+        self._add_facts(block.memid, (("has_tag", shape), ("has_colour", color)))
         return block
 
     def add_triple(self, subject_memid: int, predicate: str, object_text: str) -> Triple:
         if predicate not in PREDICATES:
             raise ValueError(f"unknown predicate {predicate!r}")
-        triple = Triple(self.new_memid(), subject_memid, predicate, object_text)
-        self.triples.append(triple)
-        return triple
+        self._add_facts(subject_memid, ((predicate, object_text),))
+        return self.triples[-1]
+
+    def _add_facts(self, subject_memid: int, facts: tuple[tuple[str, str], ...]) -> None:
+        """One triple per (predicate, object_text) pair, with memids in pair order."""
+        first = self._memid_counter
+        self._memid_counter = first + len(facts)
+        seed = self.seed
+        self.triples += [
+            Triple(derive_memid(seed, counter), subject_memid, predicate, object_text)
+            for counter, (predicate, object_text) in enumerate(facts, first)
+        ]
 
     def remove_block(self, memid: int) -> None:
         before = len(self.block_objects)

@@ -140,6 +140,34 @@ def test_generate_twice_is_byte_identical(tmp_path):
         assert a == b
 
 
+def test_a_run_hashes_its_pool_file_once(tmp_path, monkeypatch):
+    pool = tmp_path / "names.txt"
+    pool.write_text(CUSTOM_NAMES, encoding="utf-8")
+    hashed = []
+    real_sha256 = hashlib.sha256
+
+    def counting_sha256(data=b"", **kwargs):
+        if data == CUSTOM_NAMES.encode("utf-8"):
+            hashed.append(data)
+        return real_sha256(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    config = small_config(tmp_path, n_samples=20, names_file=str(pool))
+    generate(config)
+    assert len(hashed) == 1
+    out = Path(config.out_dir)
+    saved = json.loads((out / "stats.json").read_text(encoding="utf-8"))["config_digest"]
+    records = read_all_records(out)
+    assert len(records) == 20
+    assert {r["generation_metadata"]["config_digest"] for r in records.values()} == {saved}
+    # validate regenerates with one digest per call as well
+    hashed.clear()
+    assert validate_dataset(out / "train.jsonl", config) == []
+    assert len(hashed) == 1
+    # a single index still regenerates on its own
+    assert generate_sample(config, 3).to_record() == records[3]
+
+
 def test_subset_regeneration_matches_full_run(tmp_path):
     config = small_config(tmp_path)
     generate(config)
@@ -217,10 +245,10 @@ def test_failed_generate_leaves_no_files_and_no_children(tmp_path, monkeypatch, 
         pytest.skip("workers see the patched generate_sample only when forked")
     real = cli.generate_sample
 
-    def failing(config, index):
+    def failing(config, index, config_digest=None):
         if index == 5:
             raise GenerationCapacityError(f"sample {index}: injected failure")
-        return real(config, index)
+        return real(config, index, config_digest)
 
     monkeypatch.setattr(cli, "generate_sample", failing)
     config = small_config(tmp_path)

@@ -4,9 +4,12 @@ import random
 import pytest
 
 from gridqa import GenConfig
+from gridqa import scenegen
+from gridqa.dynamics import run_episode
 from gridqa.scenegen import (
     COLORS,
     NPC_TYPES,
+    PLACEMENT_RETRIES,
     SHAPES,
     SceneCapacityError,
     ScenePools,
@@ -15,10 +18,11 @@ from gridqa.scenegen import (
     default_names,
     make_shape,
     origin_ranges,
+    placement,
     sample_shape_params,
 )
 from gridqa.serialize import render_relational_context
-from gridqa.worldcore import take_snapshot
+from gridqa.worldcore import Pose, WorldState, derive_memid, snap_coord, take_snapshot
 from shape_predicates import enumerate_shape
 
 # three sizes per catalog shape, small enough to brute-force
@@ -189,3 +193,139 @@ def test_origin_ranges_keep_every_voxel_inside_the_world():
             for axis, (low, high) in enumerate(ranges):
                 assert min(v[axis] for v in template) + low == 0
                 assert max(v[axis] for v in template) + high == size - 1
+
+
+# --- draw exactness: the fast draws take exactly the draws of the plain API ------
+
+
+def shuffled_pops(pool, k, rng):
+    """The name draw as written with the public API."""
+    names = list(pool)
+    rng.shuffle(names)
+    return [names.pop() for _ in range(k)]
+
+
+@pytest.mark.parametrize("pool_size", [GenConfig().n_npcs + 2, 7, 254, 300])
+def test_name_draw_matches_shuffle_then_pop(pool_size):
+    pool = default_names() if pool_size == 254 else tuple(f"name{i}" for i in range(pool_size))
+    k = GenConfig().n_npcs + 2
+    for seed in range(200):
+        expected_rng, rng = random.Random(seed), random.Random(seed)
+        expected = shuffled_pops(pool, k, expected_rng)
+        assert scenegen._draw_names(pool, k, rng) == expected, (pool_size, seed)
+        assert rng.getstate() == expected_rng.getstate(), (pool_size, seed)
+
+
+def test_name_draw_of_the_whole_pool_and_of_none():
+    pool = tuple(f"name{i}" for i in range(9))
+    for k in (0, 1, 8, 9):
+        for seed in range(50):
+            expected_rng, rng = random.Random(seed), random.Random(seed)
+            assert scenegen._draw_names(pool, k, rng) == shuffled_pops(pool, k, expected_rng)
+            assert rng.getstate() == expected_rng.getstate()
+
+
+def public_api_random_pose(world, occupied, blocked, rng):
+    """The pose draw as written with randrange and randint."""
+    size = world.world_size
+    for _ in range(PLACEMENT_RETRIES):
+        cell = (rng.randrange(size), rng.randrange(size), rng.randrange(size))
+        if cell in occupied or cell in blocked:
+            continue
+        occupied.add(cell)
+        x = snap_coord(cell[0] + rng.randint(0, 9) / 10.0)
+        y = snap_coord(cell[1] + rng.randint(0, 9) / 10.0)
+        z = snap_coord(cell[2] + rng.randint(0, 9) / 10.0)
+        return Pose(x, y, z, pitch=float(rng.randint(-45, 45)), yaw=float(rng.randint(0, 359)))
+    raise SceneCapacityError("no free cell")
+
+
+@pytest.mark.parametrize("size", [4, 15])
+def test_pose_draw_matches_public_api_including_retries(size):
+    world = WorldState(world_size=size, seed=0)
+    for seed in range(200):
+        # about half the cells taken, so most draws retry at least once
+        layout = random.Random(seed)
+        cells = [(x, y, z) for x in range(size) for y in range(size) for z in range(size)]
+        blocked = set(layout.sample(cells, len(cells) // 4))
+        occupied = set(layout.sample(cells, len(cells) // 4))
+        expected_rng, rng = random.Random(seed), random.Random(seed)
+        expected_occupied, got_occupied = set(occupied), set(occupied)
+        for _ in range(3):
+            expected = public_api_random_pose(world, expected_occupied, blocked, expected_rng)
+            got = scenegen._random_pose(size, got_occupied, blocked, rng._randbelow)
+            assert got == expected
+            assert got_occupied == expected_occupied
+            assert rng.getstate() == expected_rng.getstate()
+
+
+def test_pose_draw_gives_up_after_the_same_draws():
+    full = {(x, y, z) for x in range(4) for y in range(4) for z in range(4)}
+    expected_rng, rng = random.Random(3), random.Random(3)
+    with pytest.raises(SceneCapacityError):
+        public_api_random_pose(WorldState(world_size=4, seed=0), set(), full, expected_rng)
+    with pytest.raises(SceneCapacityError):
+        scenegen._random_pose(4, set(), full, rng._randbelow)
+    assert rng.getstate() == expected_rng.getstate()
+
+
+def drawable_params(shape):
+    """Every params value sample_shape_params returns for shape (each range
+    holds at most three values, so 600 draws meet all of them)."""
+    rng = random.Random(0)
+    seen = {}
+    for _ in range(600):
+        params = sample_shape_params(shape, rng)
+        seen[repr(params)] = params
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cached_placement_matches_a_fresh_build(shape):
+    for params in drawable_params(shape):
+        fresh = enumerate_shape(shape, params)
+        assert make_shape(shape, params, (0, 0, 0)) == fresh
+        for size in (4, 15):
+            template, ranges = placement(shape, params, size)
+            assert template == fresh
+            assert ranges == origin_ranges(fresh, size)
+            # a second lookup is the same cached pair
+            assert placement(shape, params, size)[0] is template
+
+
+def test_make_shape_leaves_no_trace_of_one_call_in_the_next():
+    a = make_shape("cube", {"size": 2}, (3, 3, 3))
+    b = make_shape("cube", {"size": 2}, (0, 0, 0))
+    assert min(a) == (3, 3, 3)
+    assert min(b) == (0, 0, 0)
+
+
+def test_shape_caches_stay_bounded():
+    scenegen._template.cache_clear()
+    scenegen._placement.cache_clear()
+    distinct = sum(len(drawable_params(shape)) for shape in SHAPES)
+    for size in (8, 15):
+        config = GenConfig(world_size=size, command_prob=1.0, world_steps=6)
+        for seed in range(300):
+            run_episode(config, random.Random(seed))
+    assert scenegen._template.cache_info().currsize <= distinct
+    assert scenegen._placement.cache_info().currsize <= 2 * distinct
+
+
+# derive_memid(seed, counter) as computed by
+# int.from_bytes(blake2b(struct.pack("<qq", seed, counter), digest_size=8).digest(), "little")
+MEMID_TABLE = {
+    (0, 0): 0x0E7494F907A55052,
+    (0, 1): 0x70A94C03EEAA82EB,
+    (42, 0): 0x038B331FD0AAC682,
+    (42, 999): 0x146A21E8815232A8,
+    (-1, 7): 0xF6558D1B892C4BE9,
+    (2**62, 3): 0x3B0C950DE72EE676,
+    (-(2**63), 2**63 - 1): 0xE0239AE5C9B9D2F8,
+    (123456789, 40): 0x90C0809D1EFAA7C1,
+}
+
+
+def test_derive_memid_matches_the_fixed_table():
+    for (seed, counter), memid in MEMID_TABLE.items():
+        assert derive_memid(seed, counter) == memid

@@ -20,6 +20,7 @@ from gridqa.serialize import (
     section_lines,
     write_samples,
 )
+from gridqa.dynamics import TASK_KINDS, run_episode
 from gridqa.worldcore import AGENT, NPC, PLAYER, Entity, Pose, take_snapshot
 
 
@@ -197,3 +198,74 @@ def test_action_names_never_in_context():
         assert log, "expected a command this episode"
         action = log[-1]["action"]
         assert f" {action} " not in f" {sample.context_text} ".replace("\n", " ")
+
+
+# --- the relational render against a plain per-node copy ----------------------------
+
+
+def plain_relational_context(snapshots):
+    """The relational render written node by node: every memid formatted, every
+    centroid summed and every voxel set sorted at every snapshot."""
+    ref_nodes, triple_nodes = [], []
+    for snapshot in snapshots:
+        t = snapshot.time_index
+        for obj in snapshot.reference_objects:
+            if isinstance(obj, Entity):
+                ref_nodes.append(
+                    {
+                        "reference_object_hash": format(obj.memid, "016x"),
+                        "reference_objects_words": [obj.name, obj.type_word, obj.color],
+                        "reference_objects_float": [
+                            obj.pose.x, obj.pose.y, obj.pose.z, obj.pose.pitch, obj.pose.yaw,
+                        ],
+                        "time_index": t,
+                    }
+                )
+            else:
+                n = len(obj.voxels)
+                ref_nodes.append(
+                    {
+                        "reference_object_hash": format(obj.memid, "016x"),
+                        "reference_objects_words": ["inst_seg", obj.shape, obj.color],
+                        "reference_objects_float": [
+                            sum(v[0] for v in obj.voxels) / n,
+                            sum(v[1] for v in obj.voxels) / n,
+                            sum(v[2] for v in obj.voxels) / n,
+                            0.0,
+                            0.0,
+                        ],
+                        "voxels": sorted(list(v) for v in obj.voxels),
+                        "time_index": t,
+                    }
+                )
+        for triple in snapshot.triples:
+            triple_nodes.append(
+                {
+                    "triples_hash": [
+                        format(triple.t_id, "016x"), format(triple.subject_memid, "016x"),
+                    ],
+                    "triples_words": [triple.predicate, triple.object_text],
+                    "time_index": t,
+                }
+            )
+    return {"reference_objects": ref_nodes, "triples": triple_nodes}
+
+
+def test_relational_render_matches_the_plain_render_for_every_task_kind():
+    # three snapshots, and a task in every episode: build, dig and destroy
+    # change the set of blocks between snapshots
+    config = GenConfig(command_prob=1.0, world_steps=12, n_snapshots=3)
+    per_kind = dict.fromkeys(TASK_KINDS, 0)
+    seed = 0
+    while min(per_kind.values()) < 200:
+        world, snapshots = run_episode(config, random.Random(seed))
+        seed += 1
+        kind = world.action_log[0].action_name if world.action_log else None
+        if kind is None or per_kind[kind] >= 200:
+            continue
+        per_kind[kind] += 1
+        rendered, plain = render_relational_context(snapshots), plain_relational_context(snapshots)
+        assert rendered == plain, seed - 1
+        assert encode_record(rendered) == encode_record(plain)
+        if kind in ("build", "dig", "destroy"):
+            assert len(snapshots[0].blocks()) != len(snapshots[-1].blocks())

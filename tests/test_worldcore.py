@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import pickle
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -16,6 +18,7 @@ from gridqa.worldcore import (
     Entity,
     Pose,
     SnapshotOrderError,
+    Triple,
     UnknownMemidError,
     derive_memid,
     horizontal_direction,
@@ -184,3 +187,81 @@ def test_triples_unique_per_subject_predicate_object():
     for snap in snapshots:
         keys = [(t.subject_memid, t.predicate, t.object_text) for t in snap.triples]
         assert len(keys) == len(set(keys))
+
+
+# --- per-object facts: cached centroid, Triple tuples, the snapshot memid index ---
+
+
+def three_pass_centroid(block):
+    n = len(block.voxels)
+    return (
+        sum(v[0] for v in block.voxels) / n,
+        sum(v[1] for v in block.voxels) / n,
+        sum(v[2] for v in block.voxels) / n,
+    )
+
+
+def test_centroid_equals_the_three_pass_sum():
+    for seed in range(60):
+        _, snapshots = make_episode(seed)
+        for snap in snapshots:
+            for block in snap.blocks():
+                assert block.centroid == three_pass_centroid(block)
+                assert block.centroid == three_pass_centroid(block)  # cached value
+
+
+def test_block_object_stays_frozen_equal_hashable_and_picklable():
+    voxels = frozenset({(1, 2, 3), (2, 2, 3), (4, 0, 1)})
+    cached = BlockObject(5, "cube", "red", voxels)
+    plain = BlockObject(5, "cube", "red", voxels)
+    assert cached.centroid == (7 / 3, 4 / 3, 7 / 3)
+    assert cached == plain and hash(cached) == hash(plain)
+    assert repr(cached) == repr(plain)
+    assert "centroid" not in repr(cached)
+    assert len({cached, plain}) == 1
+    assert cached != BlockObject(6, "cube", "red", voxels)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cached.memid = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plain.centroid = (0.0, 0.0, 0.0)
+    for block in (cached, plain):
+        restored = pickle.loads(pickle.dumps(block))
+        assert restored == block and hash(restored) == hash(block)
+        assert restored.centroid == three_pass_centroid(block)
+
+
+def test_triple_keeps_repr_attributes_immutability_pickling_and_sort():
+    triple = Triple(7, 3, "has_tag", "red")
+    assert repr(triple) == "Triple(t_id=7, subject_memid=3, predicate='has_tag', object_text='red')"
+    assert (triple.t_id, triple.subject_memid, triple.predicate, triple.object_text) == (
+        7, 3, "has_tag", "red",
+    )
+    with pytest.raises(AttributeError):
+        triple.t_id = 8
+    restored = pickle.loads(pickle.dumps(triple))
+    assert restored == triple and type(restored) is Triple
+    assert hash(restored) == hash(triple)
+    others = [Triple(9, 1, "has_name", "bob"), triple, Triple(2, 1, "has_colour", "red")]
+    assert [t.t_id for t in sorted(others, key=attrgetter("t_id"))] == [2, 7, 9]
+
+
+def test_snapshot_memid_index_resolves_every_memid():
+    for seed in range(20):
+        _, snapshots = make_episode(seed)
+        for snap in snapshots:
+            before = repr(snap)
+            for obj in snap.reference_objects:
+                assert snap.lookup(obj.memid) is obj
+                assert snap.has_memid(obj.memid)
+            assert snap.memids() == {obj.memid for obj in snap.reference_objects}
+            unknown = max(snap.memids()) + 1
+            assert not snap.has_memid(unknown)
+            with pytest.raises(UnknownMemidError):
+                snap.lookup(unknown)
+            # the index is no field: repr and == see only the snapshot's contents
+            assert repr(snap) == before
+            fresh = dataclasses.replace(snap)
+            assert fresh == snap
+            assert [f.name for f in dataclasses.fields(snap)] == [
+                "time_index", "reference_objects", "triples",
+            ]
