@@ -50,12 +50,16 @@ class SnapshotOrderError(ValueError):
 
 
 _pack_memid_key = struct.Struct("<qq").pack
+# copying an empty hash is cheaper than building one with digest_size=8
+_MEMID_HASH = hashlib.blake2b(digest_size=8)
 
 
 def derive_memid(world_seed: int, counter: int) -> int:
-    """Deterministic 64-bit id from the world seed and a creation counter."""
-    digest = hashlib.blake2b(_pack_memid_key(world_seed, counter), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    """Deterministic 64-bit id: the 8-byte blake2b digest of the pair
+    (world_seed, counter) packed as two little-endian int64."""
+    h = _MEMID_HASH.copy()
+    h.update(_pack_memid_key(world_seed, counter))
+    return int.from_bytes(h.digest(), "little")
 
 
 def memid_hex(memid: int) -> str:
