@@ -41,6 +41,9 @@ COLORS = ("brown", "white", "black", "mottled", "pink", "yellow")
 
 PLACEMENT_RETRIES = 100
 
+# per axis, the lowest and highest origin offset (see origin_ranges)
+Ranges = tuple[tuple[int, int], ...]
+
 
 class UnknownShapeError(ValueError):
     """Raised for a shape word outside the catalog."""
@@ -243,6 +246,8 @@ def _params_key(params: dict) -> tuple:
     return tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in params.items())
 
 
+# Both caches grow by one entry per distinct (shape, params[, size]); the
+# generator only asks for the few values sample_shape_params draws.
 @functools.cache
 def _template(shape: str, params_key: tuple) -> frozenset[Cell]:
     try:
@@ -252,27 +257,23 @@ def _template(shape: str, params_key: tuple) -> frozenset[Cell]:
     return frozenset(builder(dict(params_key)))
 
 
-def make_shape(shape: str, size_params: dict, origin: Cell) -> frozenset[Cell]:
-    """Build the voxel set for a catalog shape translated to origin."""
-    template = _template(shape, _params_key(size_params))
-    ox, oy, oz = origin
-    if ox == oy == oz == 0:
-        return template
-    return frozenset([(x + ox, y + oy, z + oz) for x, y, z in template])
-
-
 @functools.cache
-def _placement(shape: str, params_key: tuple, size: int):
+def _placement(shape: str, params_key: tuple, size: int) -> tuple[frozenset[Cell], Ranges | None]:
     template = _template(shape, params_key)
     return template, origin_ranges(template, size)
 
 
-def placement(shape: str, size_params: dict, size: int):
-    """(template at origin (0, 0, 0), its origin_ranges in a size^3 world).
+def make_shape(shape: str, size_params: dict, origin: Cell) -> frozenset[Cell]:
+    """Build the voxel set for a catalog shape translated to origin."""
+    ox, oy, oz = origin
+    return frozenset(
+        [(x + ox, y + oy, z + oz) for x, y, z in _template(shape, _params_key(size_params))]
+    )
 
-    Cached per (shape, params, size); sample_shape_params draws from a few
-    small values, so the cache stays small.
-    """
+
+def placement(shape: str, size_params: dict, size: int) -> tuple[frozenset[Cell], Ranges | None]:
+    """The shape's template at origin (0, 0, 0) and its origin_ranges in a
+    size^3 world, computed once per (shape, params, size)."""
     return _placement(shape, _params_key(size_params), size)
 
 
@@ -390,7 +391,7 @@ def _draw_names(pool: tuple[str, ...], k: int, rng: random.Random) -> list[str]:
     return picked
 
 
-def origin_ranges(template: frozenset[Cell], size: int) -> list[tuple[int, int]] | None:
+def origin_ranges(template: frozenset[Cell], size: int) -> Ranges | None:
     """Per axis, the lowest and highest origin offset that keeps template in a size^3 world.
 
     None when the template spans the whole world along some axis.
@@ -401,7 +402,7 @@ def origin_ranges(template: frozenset[Cell], size: int) -> list[tuple[int, int]]
         if high - low >= size:
             return None
         ranges.append((-low, size - 1 - high))
-    return ranges
+    return tuple(ranges)
 
 
 def _place_block(world: WorldState, shape: str, taken: set[Cell], rng: random.Random) -> frozenset[Cell]:

@@ -271,18 +271,12 @@ class WorldState:
     ) -> Entity:
         entity = Entity(self.new_memid(), kind, name, color, pose, npc_type)
         self.entities.append(entity)
-        type_word = entity.type_word
+        self.add_triple(entity.memid, "has_name", name)
+        self.add_triple(entity.memid, "has_type", entity.type_word)
+        self.add_triple(entity.memid, "has_colour", color)
         # tags duplicate type and color so property filters catch both
-        self._add_facts(
-            entity.memid,
-            (
-                ("has_name", name),
-                ("has_type", type_word),
-                ("has_colour", color),
-                ("has_tag", type_word),
-                ("has_tag", color),
-            ),
-        )
+        self.add_triple(entity.memid, "has_tag", entity.type_word)
+        self.add_triple(entity.memid, "has_tag", color)
         return entity
 
     def add_block(self, shape: str, color: str, voxels: frozenset[Cell]) -> BlockObject:
@@ -290,24 +284,16 @@ class WorldState:
             raise ValueError("block object needs at least one voxel")
         block = BlockObject(self.new_memid(), shape, color, voxels)
         self.block_objects.append(block)
-        self._add_facts(block.memid, (("has_tag", shape), ("has_colour", color)))
+        self.add_triple(block.memid, "has_tag", shape)
+        self.add_triple(block.memid, "has_colour", color)
         return block
 
     def add_triple(self, subject_memid: int, predicate: str, object_text: str) -> Triple:
         if predicate not in PREDICATES:
             raise ValueError(f"unknown predicate {predicate!r}")
-        self._add_facts(subject_memid, ((predicate, object_text),))
-        return self.triples[-1]
-
-    def _add_facts(self, subject_memid: int, facts: tuple[tuple[str, str], ...]) -> None:
-        """One triple per (predicate, object_text) pair, with memids in pair order."""
-        first = self._memid_counter
-        self._memid_counter = first + len(facts)
-        seed = self.seed
-        self.triples += [
-            Triple(derive_memid(seed, counter), subject_memid, predicate, object_text)
-            for counter, (predicate, object_text) in enumerate(facts, first)
-        ]
+        triple = Triple(self.new_memid(), subject_memid, predicate, object_text)
+        self.triples.append(triple)
+        return triple
 
     def remove_block(self, memid: int) -> None:
         before = len(self.block_objects)
