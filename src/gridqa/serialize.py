@@ -127,7 +127,7 @@ def render_relational_context(snapshots: list[Snapshot]) -> dict:
             else:
                 voxels = sorted_voxels.get(obj.voxels)
                 if voxels is None:
-                    voxels = sorted_voxels[obj.voxels] = [list(v) for v in sorted(obj.voxels)]
+                    voxels = sorted_voxels[obj.voxels] = list(map(list, sorted(obj.voxels)))
                 cx, cy, cz = obj.centroid
                 ref_nodes.append(
                     {

@@ -293,13 +293,6 @@ def test_cached_placement_matches_a_fresh_build(shape):
             assert placement(shape, params, size)[0] is template
 
 
-def test_make_shape_leaves_no_trace_of_one_call_in_the_next():
-    a = make_shape("cube", {"size": 2}, (3, 3, 3))
-    b = make_shape("cube", {"size": 2}, (0, 0, 0))
-    assert min(a) == (3, 3, 3)
-    assert min(b) == (0, 0, 0)
-
-
 def test_shape_caches_stay_bounded():
     scenegen._template.cache_clear()
     scenegen._placement.cache_clear()
