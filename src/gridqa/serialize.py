@@ -107,7 +107,10 @@ def render_relational_context(snapshots: list[Snapshot]) -> dict:
     """
     if not snapshots:
         raise ValueError("need at least one snapshot")
-    hexes = _Hexes()
+    # the first snapshot's ids in one pass; later snapshots add only new ones
+    ids = [obj.memid for obj in snapshots[0].reference_objects]
+    ids += [triple.t_id for triple in snapshots[0].triples]
+    hexes = _Hexes(zip(ids, map(memid_hex, ids)))
     sorted_voxels: dict[frozenset, list] = {}
     ref_nodes = []
     triple_nodes = []
