@@ -27,11 +27,10 @@ from functools import partial
 from multiprocessing import Lock, Pool, SimpleQueue
 from pathlib import Path
 
-from . import oracle
 from .config import ConfigError, GenConfig, apply_overrides, load_config
 from .dynamics import run_episode
 from .querygen import UnanswerableSceneError, parse_form, sample_query
-from .scenegen import SceneCapacityError
+from .scenegen import SceneCapacityError, ScenePools
 from .serialize import (
     DatasetIOError,
     Sample,
@@ -74,29 +73,32 @@ def split_of(config: GenConfig, index: int) -> str:
     return "test"
 
 
-def generate_sample(config: GenConfig, index: int, config_digest: str | None = None) -> Sample:
+def generate_sample(
+    config: GenConfig, index: int, config_digest: str | None = None, pools: ScenePools | None = None
+) -> Sample:
     """Run the full pipeline for one sample index.
 
     Every random draw derives from (config.seed, index, scene attempt),
     so any index regenerates independently of the rest of the run.
-    config_digest is config.digest(), computed here when not given; a
-    run passes the one it computed at its start, so every record of the
-    run carries the same digest and the pool files are hashed once.
+    config_digest is config.digest() and pools ScenePools.from_config(config),
+    each computed here when not given; a run passes the ones it computed at its
+    start, so all its records carry one digest and draw from one set of pools.
     """
     if config_digest is None:
         config_digest = config.digest()
+    if pools is None:
+        pools = ScenePools.from_config(config)
     for attempt in range(config.scene_retries):
         sample_seed = _derive_seed(config.seed, index, attempt, b"scene")
         rng = random.Random(sample_seed)
         try:
-            world, snapshots = run_episode(config, rng)
+            world, snapshots = run_episode(config, rng, pools)
         except SceneCapacityError:
             continue
         try:
-            form, query_text = sample_query(snapshots, config, rng, world.action_log)
+            form, query_text, answer = sample_query(snapshots, config, rng, world.action_log)
         except UnanswerableSceneError:
             continue
-        answer = oracle.execute(form, snapshots, world.action_log)
         context_text = render_text_context(snapshots, rng)
         context_relational = render_relational_context(snapshots)
         return Sample(
@@ -123,14 +125,14 @@ def generate_sample(config: GenConfig, index: int, config_digest: str | None = N
 
 
 def _encoded_sample(
-    config: GenConfig, config_digest: str, index: int
+    config: GenConfig, config_digest: str, pools: ScenePools, index: int
 ) -> tuple[int, str, str, int, str]:
     """(index, query class, return type, scene attempt, JSONL line) for one index.
 
     Runs in the worker, so the parent receives a finished line instead of
     a Sample to unpickle and encode.
     """
-    sample = generate_sample(config, index, config_digest)
+    sample = generate_sample(config, index, config_digest, pools)
     return (
         index,
         sample.query_class,
@@ -202,6 +204,7 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
     out_dir = Path(config.out_dir)
     names = [f"{split}.jsonl" for split in SPLITS] + ["stats.json", "config.cfg"]
     temps = {name: out_dir / f".{name}.tmp" for name in names}
+    pools = ScenePools.from_config(config)
     stats = {
         "n_samples": 0,
         "by_class": {},
@@ -226,7 +229,7 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
                 }
             except OSError as exc:
                 raise DatasetIOError(f"cannot open output files in {out_dir}: {exc}") from exc
-            work = partial(_encoded_sample, config, stats["config_digest"])
+            work = partial(_encoded_sample, config, stats["config_digest"], pools)
             indices = range(config.n_samples)
             if workers > 1:
                 rows = stack.enter_context(_open_pool(workers)).imap(work, indices, chunksize=16)
@@ -338,6 +341,7 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
     """Integrity checks for every record; returns a list of problems."""
     problems = []
     config_digest = config.digest() if config is not None else None
+    pools = ScenePools.from_config(config) if config is not None else None
     for sample in read_samples(path):
         label = f"sample {sample.sample_id}"
         if sample.format_version != 1:
@@ -359,7 +363,7 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
         except Exception as exc:
             problems.append(f"{label}: relational context unreadable: {exc}")
         if config is not None:
-            regenerated = generate_sample(config, sample.sample_id, config_digest)
+            regenerated = generate_sample(config, sample.sample_id, config_digest, pools)
             if regenerated.to_record() != sample.to_record():
                 problems.append(f"{label}: does not match regeneration from config")
     return problems

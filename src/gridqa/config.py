@@ -14,8 +14,6 @@ import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-QUERY_CLASSES = ("property", "temporal", "geometric")
-
 POOL_DIR_ENV = "GRIDQA_POOL_DIR"
 
 

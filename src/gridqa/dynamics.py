@@ -295,8 +295,8 @@ def sample_task(world: WorldState, total_steps: int, config, rng: random.Random)
     return Task("follow", {"target_memid": target.memid}, duration=duration, start_step=start)
 
 
-def run_episode(config, rng: random.Random):
-    """Build a scene and step it through its snapshot schedule.
+def run_episode(config, rng: random.Random, pools=None):
+    """Build a scene from pools and step it through its snapshot schedule.
 
     Returns (world, snapshots): the final world state (holding the
     action log) and the recorded snapshots in time order.
@@ -304,7 +304,7 @@ def run_episode(config, rng: random.Random):
     from .scenegen import build_scene
     from .worldcore import take_snapshot
 
-    world = build_scene(config, rng)
+    world = build_scene(config, rng, pools)
     times = schedule_snapshots(config.world_steps, config.n_snapshots)
     task = sample_task(world, config.world_steps, config, rng)
     snapshots = [take_snapshot(world, 0)]

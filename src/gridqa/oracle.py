@@ -1,8 +1,12 @@
 """Ground-truth query execution over snapshot histories.
 
-Filter clauses evaluate on the most recent snapshot; temporal clauses
-compare the first and last snapshots or read the action log. Negation
-is the complement within the reference objects of the evaluation
+Each clause kind has one evaluator, eval_<kind>, named by its
+querygen.KINDS entry. A filter kind's evaluator returns the positive
+match set and the directly matched triple ids; a value kind's returns
+the value and the memids of the objects it is computed from. Filters
+read the last snapshot; movement kinds compare the first and last
+snapshots over animate objects present at both (blocks never move).
+Negation is the complement within the reference objects of the last
 snapshot, "and" intersects, "or" unions. Multi-item answers are sorted
 alphabetically so every query has exactly one correct token sequence.
 
@@ -14,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import TYPE_CHECKING
 
-from .querygen import VALUE_KINDS, Clause, QueryForm
 from .worldcore import (
     AGENT,
     PLAYER,
@@ -29,6 +33,9 @@ from .worldcore import (
     object_position,
     round_half_away,
 )
+
+if TYPE_CHECKING:
+    from .querygen import Clause, QueryForm
 
 
 class UnanswerableQueryError(RuntimeError):
@@ -52,28 +59,18 @@ def distance_to_point(obj: RefObject, point: Vec3) -> float:
 def resolve_ref(ref: dict, snapshot: Snapshot) -> Entity:
     """Resolve a name/type/me/you reference to a unique entity."""
     by = ref["by"]
-    if by == "me":
-        kind = PLAYER
-    elif by == "you":
-        kind = AGENT
-    else:
-        kind = None
-    if kind is not None:
+    if by in ("me", "you"):
+        kind = PLAYER if by == "me" else AGENT
         for e in snapshot.entities():
             if e.kind == kind:
                 return e
         raise UnanswerableQueryError(f"no {kind} in snapshot")
-    word = ref["word"]
-    if by == "name":
-        matches = [e for e in snapshot.entities() if e.name == word]
-    elif by == "type":
-        matches = [e for e in snapshot.entities() if e.type_word == word]
-    else:
+    if by not in ("name", "type"):
         raise ValueError(f"unknown ref form {ref!r}")
+    attr = "name" if by == "name" else "type_word"
+    matches = [e for e in snapshot.entities() if getattr(e, attr) == ref["word"]]
     if len(matches) != 1:
-        raise UnanswerableQueryError(
-            f"reference {ref!r} matches {len(matches)} entities"
-        )
+        raise UnanswerableQueryError(f"reference {ref!r} matches {len(matches)} entities")
     return matches[0]
 
 
@@ -108,147 +105,129 @@ def _dot(a: Vec3, b: Vec3) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-# --- per-class clause evaluation ---------------------------------------------
+# --- clause evaluation: every evaluator takes (args, snapshots, action_log, tie_margin)
 
 
-def property_eval(clause: Clause, snapshot: Snapshot) -> tuple[set[int], set[int]]:
-    """Match set and directly matched triple ids for a property clause."""
-    args = clause.args
-    if clause.kind == "name":
-        triples = [
-            t
-            for t in snapshot.triples
-            if t.predicate == "has_name" and t.object_text == args["name"]
-        ]
-        return {t.subject_memid for t in triples}, {t.t_id for t in triples}
-    if clause.kind == "tag":
-        triples = [
-            t
-            for t in snapshot.triples
-            if t.predicate in PROPERTY_PREDICATES and t.object_text == args["tag"]
-        ]
-        return {t.subject_memid for t in triples}, {t.t_id for t in triples}
-    if clause.kind == "absolute_cardinal":
-        index = "xyz".index(args["axis"])
-        threshold = args["threshold"]
-        matched = set()
-        for obj in snapshot.reference_objects:
-            value = object_position(obj)[index]
-            if (value < threshold) if args["comparator"] == "less" else (value > threshold):
-                matched.add(obj.memid)
-        return matched, set()
-    raise ValueError(f"not a property clause: {clause.kind}")
+def _triples_matching(snapshot: Snapshot, predicates, word: str) -> tuple[set[int], set[int]]:
+    triples = [t for t in snapshot.triples if t.predicate in predicates and t.object_text == word]
+    return {t.subject_memid for t in triples}, {t.t_id for t in triples}
 
 
-def geometric_eval(
-    clause: Clause, snapshot: Snapshot, tie_margin: float | None = None
-):
-    """Evaluate a geometric clause on one snapshot.
-
-    Filter kinds return a memid set; closest_object and max_direction
-    return a singleton memid set; distance_between returns a float and
-    distance_from_position a location.
-    """
-    args = clause.args
-    if clause.kind == "absolute_distance":
-        point = tuple(args["point"])
-        threshold = args["threshold"]
-        matched = set()
-        for obj in snapshot.reference_objects:
-            d = distance_to_point(obj, point)
-            if (d < threshold) if args["comparator"] == "less" else (d > threshold):
-                matched.add(obj.memid)
-        return matched
-    if clause.kind == "direction":
-        owner = _frame_owner(args["frame"], snapshot)
-        direction = horizontal_direction(owner.pose, args["side"])
-        origin = owner.pose.position
-        matched = set()
-        for obj in snapshot.reference_objects:
-            p = object_position(obj)
-            offset = (p[0] - origin[0], p[1] - origin[1], p[2] - origin[2])
-            if _dot(offset, direction) > 0.0:
-                matched.add(obj.memid)
-        return matched
-    if clause.kind == "closest_object":
-        anchor = resolve_ref(args["anchor"], snapshot)
-        scores = {
-            obj.memid: -math.dist(object_position(obj), anchor.pose.position)
-            for obj in snapshot.reference_objects
-            if obj.memid != anchor.memid
-        }
-        return {_argmax(scores, tie_margin)}
-    if clause.kind == "max_direction":
-        owner = _frame_owner(args["frame"], snapshot)
-        direction = horizontal_direction(owner.pose, args["side"])
-        origin = owner.pose.position
-        scores = {}
-        for obj in snapshot.reference_objects:
-            if obj.memid == owner.memid:
-                continue
-            p = object_position(obj)
-            scores[obj.memid] = _dot((p[0] - origin[0], p[1] - origin[1], p[2] - origin[2]), direction)
-        return {_argmax(scores, tie_margin)}
-    if clause.kind == "distance_between":
-        a = resolve_ref(args["a"], snapshot)
-        b = resolve_ref(args["b"], snapshot)
-        return math.dist(a.pose.position, b.pose.position)
-    if clause.kind == "distance_from_position":
-        owner = _frame_owner(args["frame"], snapshot)
-        direction = horizontal_direction(owner.pose, args["side"])
-        steps = args["steps"]
-        p = owner.pose.position
-        return (
-            p[0] + steps * direction[0],
-            p[1] + steps * direction[1],
-            p[2] + steps * direction[2],
-        )
-    raise ValueError(f"not a geometric clause: {clause.kind}")
+def _threshold_filter(snapshot: Snapshot, value, args: dict) -> tuple[set[int], set[int]]:
+    threshold, less = args["threshold"], args["comparator"] == "less"
+    matched = {
+        obj.memid
+        for obj in snapshot.reference_objects
+        if (value(obj) < threshold if less else value(obj) > threshold)
+    }
+    return matched, set()
 
 
-def temporal_eval(
-    clause: Clause,
-    snapshots: list[Snapshot],
-    action_log=(),
-    tie_margin: float | None = None,
-):
-    """Evaluate a temporal clause over the snapshot history.
+def _side_scores(args: dict, snapshot: Snapshot) -> tuple[Entity, dict[int, float]]:
+    """The frame owner, and each reference object's offset from it along the side."""
+    owner = _frame_owner(args["frame"], snapshot)
+    direction = horizontal_direction(owner.pose, args["side"])
+    origin = owner.pose.position
+    scores = {}
+    for obj in snapshot.reference_objects:
+        p = object_position(obj)
+        scores[obj.memid] = _dot((p[0] - origin[0], p[1] - origin[1], p[2] - origin[2]), direction)
+    return owner, scores
 
-    Movement kinds compare first and last snapshots over animate
-    objects present at both; blocks never move, so they are excluded
-    from movement argmax domains.
-    """
-    args = clause.args
+
+def eval_name(args, snapshots, action_log, tie_margin):
+    return _triples_matching(snapshots[-1], ("has_name",), args["name"])
+
+
+def eval_tag(args, snapshots, action_log, tie_margin):
+    return _triples_matching(snapshots[-1], PROPERTY_PREDICATES, args["tag"])
+
+
+def eval_absolute_cardinal(args, snapshots, action_log, tie_margin):
+    index = "xyz".index(args["axis"])
+    return _threshold_filter(snapshots[-1], lambda obj: object_position(obj)[index], args)
+
+
+def eval_absolute_distance(args, snapshots, action_log, tie_margin):
+    point = tuple(args["point"])
+    return _threshold_filter(snapshots[-1], lambda obj: distance_to_point(obj, point), args)
+
+
+def eval_direction(args, snapshots, action_log, tie_margin):
+    _, scores = _side_scores(args, snapshots[-1])
+    return {m for m, score in scores.items() if score > 0.0}, set()
+
+
+def eval_max_direction(args, snapshots, action_log, tie_margin):
+    owner, scores = _side_scores(args, snapshots[-1])
+    scores.pop(owner.memid, None)
+    return {_argmax(scores, tie_margin)}, set()
+
+
+def eval_closest_object(args, snapshots, action_log, tie_margin):
+    snapshot = snapshots[-1]
+    anchor = resolve_ref(args["anchor"], snapshot)
+    scores = {
+        obj.memid: -math.dist(object_position(obj), anchor.pose.position)
+        for obj in snapshot.reference_objects
+        if obj.memid != anchor.memid
+    }
+    return {_argmax(scores, tie_margin)}, set()
+
+
+def eval_farthest_moved(args, snapshots, action_log, tie_margin):
+    scores = {m: math.hypot(*d) for m, d in _movement_deltas(snapshots).items()}
+    return {_argmax(scores, tie_margin)}, set()
+
+
+def eval_temporal_cardinal(args, snapshots, action_log, tie_margin):
+    index = "xyz".index(args["axis"])
+    scores = {m: d[index] for m, d in _movement_deltas(snapshots).items()}
+    return {_argmax(scores, tie_margin)}, set()
+
+
+def eval_temporal_relative(args, snapshots, action_log, tie_margin):
+    owner = _frame_owner(args["frame"], snapshots[-1])
+    direction = horizontal_direction(owner.pose, args["side"])
+    deltas = _movement_deltas(snapshots)
+    scores = {m: _dot(d, direction) for m, d in deltas.items() if m != owner.memid}
+    return {_argmax(scores, tie_margin)}, set()
+
+
+def eval_location_at_time(args, snapshots, action_log, tie_margin):
+    snapshot = snapshots[0] if args["time"] == "beginning" else snapshots[-1]
+    entity = resolve_ref(args["ref"], snapshot)
+    return entity.pose.position, (entity.memid,)
+
+
+def eval_action(args, snapshots, action_log, tie_margin):
+    value = action_log[-1].action_name if action_log else "nothing"
+    return value, (_frame_owner("your", snapshots[-1]).memid,)
+
+
+def eval_object_tracking(args, snapshots, action_log, tie_margin):
     last = snapshots[-1]
-    if clause.kind == "farthest_moved":
-        deltas = _movement_deltas(snapshots)
-        scores = {m: math.hypot(*d) for m, d in deltas.items()}
-        return {_argmax(scores, tie_margin)}
-    if clause.kind == "temporal_cardinal":
-        index = "xyz".index(args["axis"])
-        deltas = _movement_deltas(snapshots)
-        scores = {m: d[index] for m, d in deltas.items()}
-        return {_argmax(scores, tie_margin)}
-    if clause.kind == "temporal_relative":
-        owner = _frame_owner(args["frame"], last)
-        direction = horizontal_direction(owner.pose, args["side"])
-        deltas = _movement_deltas(snapshots)
-        scores = {m: _dot(d, direction) for m, d in deltas.items() if m != owner.memid}
-        return {_argmax(scores, tie_margin)}
-    if clause.kind == "location_at_time":
-        snapshot = snapshots[0] if args["time"] == "beginning" else last
-        return resolve_ref(args["ref"], snapshot).pose.position
-    if clause.kind == "action":
-        if action_log:
-            return action_log[-1].action_name
-        return "nothing"
-    if clause.kind == "object_tracking":
-        obj = resolve_ref(args["ref"], last)
-        speaker = _frame_owner("my", last)
-        target = tuple(args["target"])
-        p, s = obj.pose.position, speaker.pose.position
-        return (target[0] + p[0] - s[0], target[1] + p[1] - s[1], target[2] + p[2] - s[2])
-    raise ValueError(f"not a temporal clause: {clause.kind}")
+    obj = resolve_ref(args["ref"], last)
+    speaker = _frame_owner("my", last)
+    target = args["target"]
+    p, s = obj.pose.position, speaker.pose.position
+    moved = (target[0] + p[0] - s[0], target[1] + p[1] - s[1], target[2] + p[2] - s[2])
+    return moved, (obj.memid, speaker.memid)
+
+
+def eval_distance_between(args, snapshots, action_log, tie_margin):
+    a = resolve_ref(args["a"], snapshots[-1])
+    b = resolve_ref(args["b"], snapshots[-1])
+    return math.dist(a.pose.position, b.pose.position), (a.memid, b.memid)
+
+
+def eval_distance_from_position(args, snapshots, action_log, tie_margin):
+    owner = _frame_owner(args["frame"], snapshots[-1])
+    direction = horizontal_direction(owner.pose, args["side"])
+    steps = args["steps"]
+    p = owner.pose.position
+    moved = (p[0] + steps * direction[0], p[1] + steps * direction[1], p[2] + steps * direction[2])
+    return moved, (owner.memid,)
 
 
 def clause_match_set(
@@ -256,13 +235,9 @@ def clause_match_set(
     snapshots: list[Snapshot],
     action_log=(),
     tie_margin: float | None = None,
-) -> tuple[set[int], set[int]]:
-    """Positive match set for a set-valued clause, plus matched triple ids."""
-    if clause.query_class == "property":
-        return property_eval(clause, snapshots[-1])
-    if clause.query_class == "geometric":
-        return geometric_eval(clause, snapshots[-1], tie_margin), set()
-    return temporal_eval(clause, snapshots, action_log, tie_margin), set()
+):
+    """Evaluate one clause, ignoring its negation, with its kind's evaluator."""
+    return clause.spec.evaluate(clause.args, snapshots, action_log, tie_margin)
 
 
 # --- answer assembly ----------------------------------------------------------
@@ -290,32 +265,6 @@ def format_answer(value, return_type: str) -> str:
     raise ValueError(f"unknown return type {return_type!r}")
 
 
-def _value_answer(form: QueryForm, snapshots: list[Snapshot], action_log) -> Answer:
-    clause = form.clauses[0]
-    last = snapshots[-1]
-    value = temporal_eval(clause, snapshots, action_log) if clause.query_class == "temporal" \
-        else geometric_eval(clause, last)
-    if clause.kind == "location_at_time":
-        snapshot = snapshots[0] if clause.args["time"] == "beginning" else last
-        operands = [resolve_ref(clause.args["ref"], snapshot).memid]
-    elif clause.kind == "object_tracking":
-        operands = [
-            resolve_ref(clause.args["ref"], last).memid,
-            _frame_owner("my", last).memid,
-        ]
-    elif clause.kind == "distance_between":
-        operands = [
-            resolve_ref(clause.args["a"], last).memid,
-            resolve_ref(clause.args["b"], last).memid,
-        ]
-    elif clause.kind == "distance_from_position":
-        operands = [_frame_owner(clause.args["frame"], last).memid]
-    else:  # action
-        operands = [_frame_owner("your", last).memid]
-    text = format_answer(value, form.return_type)
-    return Answer(text, tuple(sorted(memid_hex(m) for m in operands)))
-
-
 def execute(
     form: QueryForm,
     snapshots: list[Snapshot],
@@ -332,8 +281,10 @@ def execute(
     if not snapshots:
         raise ValueError("need at least one snapshot")
     first = form.clauses[0]
-    if first.kind in VALUE_KINDS:
-        return _value_answer(form, snapshots, action_log)
+    if first.spec.returns:
+        value, operands = clause_match_set(first, snapshots, action_log, tie_margin)
+        text = format_answer(value, form.return_type)
+        return Answer(text, tuple(sorted(memid_hex(m) for m in operands)))
 
     last = snapshots[-1]
     result: set[int] | None = None

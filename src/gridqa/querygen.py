@@ -1,86 +1,27 @@
 """Query forms: sampling, template rendering, and parsing.
 
 A query is one clause, or two combinable clauses joined by "and"/"or",
-plus a return type. Clause kinds fall into three classes:
-
-    property   name, tag, absolute_cardinal
-    temporal   temporal_cardinal, temporal_relative, farthest_moved,
-               location_at_time, action, object_tracking
-    geometric  absolute_distance, direction, closest_object,
-               max_direction, distance_between, distance_from_position
-
-Standalone kinds (farthest_moved, location_at_time, action,
-object_tracking, closest_object, max_direction, distance_between,
-distance_from_position) never combine with a sibling clause and never
-negate. Query text is a deterministic rendering of the form; the
-grammar is documented in FORMAT.md and parse_form is its exact inverse.
+plus a return type. Each clause kind is one entry of KINDS: its query
+class, its templates, the sampler that draws its arguments, the oracle
+evaluator that answers it, and whether it combines, is an argmax or
+forces a return type. Every other kind table here derives from KINDS.
+Query text is a deterministic rendering of the form; the grammar is
+documented in FORMAT.md and parse_form is its exact inverse.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from . import oracle
 from .worldcore import PROPERTY_PREDICATES, Snapshot, object_position
 
 if TYPE_CHECKING:
     from .config import GenConfig
-
-PROPERTY_KINDS = ("name", "tag", "absolute_cardinal")
-TEMPORAL_KINDS = (
-    "temporal_cardinal",
-    "temporal_relative",
-    "farthest_moved",
-    "location_at_time",
-    "action",
-    "object_tracking",
-)
-GEOMETRIC_KINDS = (
-    "absolute_distance",
-    "direction",
-    "closest_object",
-    "max_direction",
-    "distance_between",
-    "distance_from_position",
-)
-
-CLASS_OF = {k: "property" for k in PROPERTY_KINDS}
-CLASS_OF.update({k: "temporal" for k in TEMPORAL_KINDS})
-CLASS_OF.update({k: "geometric" for k in GEOMETRIC_KINDS})
-
-ALL_KINDS = PROPERTY_KINDS + TEMPORAL_KINDS + GEOMETRIC_KINDS
-
-COMBINABLE_KINDS = frozenset(
-    {
-        "name",
-        "tag",
-        "absolute_cardinal",
-        "temporal_cardinal",
-        "temporal_relative",
-        "absolute_distance",
-        "direction",
-    }
-)
-STANDALONE_KINDS = frozenset(ALL_KINDS) - COMBINABLE_KINDS
-
-# clause kinds that select a single object by maximizing a score
-ARGMAX_KINDS = frozenset(
-    {"temporal_cardinal", "temporal_relative", "farthest_moved", "closest_object", "max_direction"}
-)
-# clause kinds that directly denote a value instead of filtering objects
-VALUE_KINDS = frozenset(
-    {"location_at_time", "action", "object_tracking", "distance_between", "distance_from_position"}
-)
-
-FORCED_RETURN = {
-    "location_at_time": "location",
-    "object_tracking": "location",
-    "distance_from_position": "location",
-    "distance_between": "distance",
-    "action": "action_name",
-}
 
 RETURN_TYPES = ("name", "tag", "location", "distance", "count", "action_name")
 
@@ -116,8 +57,12 @@ class Clause:
     args: dict = field(default_factory=dict)
 
     @property
+    def spec(self) -> Kind:
+        return KINDS[self.kind]
+
+    @property
     def query_class(self) -> str:
-        return CLASS_OF[self.kind]
+        return self.spec.query_class
 
     def to_dict(self) -> dict:
         return {
@@ -167,16 +112,13 @@ def validate_form(form: QueryForm) -> None:
     if not 1 <= len(form.clauses) <= 2:
         raise QueryFormError("a query has one or two clauses")
     for clause in form.clauses:
-        if clause.kind not in ALL_KINDS:
+        if clause.kind not in KINDS:
             raise QueryFormError(f"unknown clause kind {clause.kind!r}")
-        if clause.kind in STANDALONE_KINDS and clause.negated:
-            raise QueryFormError(f"standalone clause {clause.kind} cannot be negated")
+        if not clause.spec.combinable and (clause.negated or len(form.clauses) == 2):
+            raise QueryFormError(f"standalone clause {clause.kind} cannot be negated or combined")
     if len(form.clauses) == 2:
         if form.op not in ("and", "or"):
             raise QueryFormError("two-clause queries need op 'and' or 'or'")
-        for clause in form.clauses:
-            if clause.kind not in COMBINABLE_KINDS:
-                raise QueryFormError(f"clause {clause.kind} cannot be combined")
     elif form.op is not None:
         raise QueryFormError("single-clause queries carry no op")
     allowed = allowed_return_types(form.clauses, form.op)
@@ -185,11 +127,6 @@ def validate_form(form: QueryForm) -> None:
             f"return type {form.return_type!r} not allowed for "
             f"{[c.kind for c in form.clauses]} (allowed: {allowed})"
         )
-
-
-def _is_singleton(clause: Clause) -> bool:
-    # positive argmax clauses and positive name clauses select at most one object
-    return not clause.negated and (clause.kind in ARGMAX_KINDS or clause.kind == "name")
 
 
 def allowed_return_types(clauses: tuple[Clause, ...], op: str | None) -> tuple[str, ...]:
@@ -201,27 +138,29 @@ def allowed_return_types(clauses: tuple[Clause, ...], op: str | None) -> tuple[s
     "and" over a name clause cannot ask for the name back.
     """
     first = clauses[0]
-    if first.kind in VALUE_KINDS:
-        return (FORCED_RETURN[first.kind],)
-    if len(clauses) == 1 and first.kind in ARGMAX_KINDS and not first.negated:
+    if first.spec.returns:
+        return (first.spec.returns,)
+    if len(clauses) == 1 and first.spec.argmax and not first.negated:
         return ("name", "tag")
     allowed = {"name", "tag", "location", "count"}
-    conjunctive = op != "or"
-    if conjunctive and any(_is_singleton(c) for c in clauses):
-        allowed.discard("count")
-    if conjunctive and any(c.kind == "name" and not c.negated for c in clauses):
-        allowed.discard("name")
+    if op != "or":
+        # a positive argmax or name clause selects at most one object
+        positive = [c for c in clauses if not c.negated]
+        if any(c.spec.argmax or c.kind == "name" for c in positive):
+            allowed.discard("count")
+        if any(c.kind == "name" for c in positive):
+            allowed.discard("name")
     return tuple(rt for rt in RETURN_TYPES if rt in allowed)
 
 
 # --- grammar -----------------------------------------------------------------
 #
-# One template per clause kind (two for location_at_time, one per time).
-# "{arg:slot}" writes a clause argument by its slot type; "{neg:A|B}"
-# reads A when the clause is negated and B when it is not. Value kinds
-# are whole queries; the others are fragments that follow a head and
-# join with " and " / " or ". render_text and parse_form both read the
-# compiled table, and FORMAT.md lists it verbatim.
+# Each KINDS entry lists its templates (location_at_time has one per
+# time). "{arg:slot}" writes a clause argument by its slot type;
+# "{neg:A|B}" reads A when the clause is negated and B when it is not.
+# Value kinds are whole queries; the others are fragments that follow a
+# head and join with " and " / " or ". render_text and parse_form both
+# read the compiled templates, and FORMAT.md lists them verbatim.
 
 HEADS = {
     ("name", False): "what are the names of the objects",
@@ -231,31 +170,6 @@ HEADS = {
     ("location", False): "what are the locations of the objects",
     ("count", False): "what is the count of the objects",
 }
-
-# (kind, args fixed by the entry, template)
-TEMPLATES = (
-    ("name", {}, "that {neg:do not have|have} the name {name:word}"),
-    ("tag", {}, "that {neg:do not have|has} the property {tag:word}"),
-    ("absolute_cardinal", {},
-     "where the {axis:axis} coordinate is {neg:not |}{comparator:cmp} than {threshold:num}"),
-    ("absolute_distance", {},
-     "where the distance to {point:point} is {neg:not |}{comparator:cmp} than {threshold:num}"),
-    ("direction", {}, "{neg:not to|to} {frame:frame} {side:side}"),
-    ("temporal_cardinal", {}, "that {neg:did not increase|increased} {axis:axis} the most"),
-    ("temporal_relative", {},
-     "that {neg:did not move|moved} to {frame:frame} {side:side} the most"),
-    ("farthest_moved", {}, "that moved the farthest"),
-    ("closest_object", {}, "that is closest to {anchor:ref}"),
-    ("max_direction", {}, "that is the most to {frame:frame} {side:side}"),
-    ("action", {}, "what did you do?"),
-    ("location_at_time", {"time": "beginning"},
-     "what was the location of {ref:ref} at the beginning?"),
-    ("location_at_time", {"time": "now"}, "what is the location of {ref:ref} now?"),
-    ("object_tracking", {}, "where would {ref:ref} be if i moved to {target:cell}?"),
-    ("distance_between", {}, "how far is {a:ref} from {b:ref}?"),
-    ("distance_from_position", {},
-     "what is the location {steps:int} steps to {frame:frame} {side:side}?"),
-)
 
 
 def _fmt_num(v: float) -> str:
@@ -297,6 +211,14 @@ def _ints(text: str) -> list[int]:
 
 
 _WORD = r"[a-z_]+"
+
+
+def is_query_word(text: str) -> bool:
+    """Whether a word slot carries text there and back: [a-z_]+, and not a
+    word that reads back as an op ("and", "or") or the speaker ("me", "you")."""
+    return re.fullmatch(_WORD, text) is not None and text not in ("and", "or", "me", "you")
+
+
 _SLOTS = {
     "word": _Slot(_WORD, str, str),
     "num": _Slot(r"\d+(?:\.\d+)?", _fmt_num, float),
@@ -331,13 +253,6 @@ def _compile(kind: str, fixed: dict, template: str) -> _Entry:
     return _Entry(kind, fixed, _SLOT_RE.sub(r"{\1}", template), slots, re.compile(pattern))
 
 
-_ENTRIES = tuple(_compile(*row) for row in TEMPLATES)
-_BY_KIND = {kind: [e for e in _ENTRIES if e.kind == kind] for kind in ALL_KINDS}
-_QUERY_ENTRIES = tuple(e for e in _ENTRIES if e.kind in VALUE_KINDS)
-_FILTER_ENTRIES = tuple(e for e in _ENTRIES if e.kind not in VALUE_KINDS)
-_HEAD_KEYS = {text: key for key, text in HEADS.items()}
-
-
 def _render_clause(clause: Clause) -> str:
     values = {"neg": clause.negated, **clause.args}
     for entry in _BY_KIND[clause.kind]:
@@ -361,9 +276,9 @@ def _match_clause(text: str, entries: tuple[_Entry, ...]) -> Clause | None:
 def render_text(form: QueryForm) -> str:
     """Deterministic English rendering of a query form."""
     first = form.clauses[0]
-    if first.kind in VALUE_KINDS:
+    if first.spec.returns:
         return _render_clause(first)
-    singular = len(form.clauses) == 1 and first.kind in ARGMAX_KINDS and not first.negated
+    singular = len(form.clauses) == 1 and first.spec.argmax and not first.negated
     joiner = f" {form.op} " if form.op else ""
     body = joiner.join(_render_clause(c) for c in form.clauses)
     return f"{HEADS[(form.return_type, singular)]} {body}?"
@@ -382,7 +297,7 @@ def _read_form(text: str) -> QueryForm:
         clause = _match_clause(text, _QUERY_ENTRIES)
         if clause is None:
             raise QueryParseError("no query head found", 0)
-        return QueryForm(clauses=(clause,), return_type=FORCED_RETURN[clause.kind])
+        return QueryForm(clauses=(clause,), return_type=clause.spec.returns)
     if not text.endswith("?"):
         raise QueryParseError("malformed query body", len(head))
     offset = len(head) + 1
@@ -413,13 +328,7 @@ def parse_form(query_text: str) -> QueryForm:
     return form
 
 
-# --- sampling ----------------------------------------------------------------
-
-_CLASS_KINDS = {
-    "property": PROPERTY_KINDS,
-    "temporal": TEMPORAL_KINDS,
-    "geometric": GEOMETRIC_KINDS,
-}
+# --- the kind table ------------------------------------------------------------
 
 
 def _entity_names(snapshot: Snapshot) -> list[str]:
@@ -427,19 +336,12 @@ def _entity_names(snapshot: Snapshot) -> list[str]:
 
 
 def _unique_types(snapshot: Snapshot) -> list[str]:
-    counts: dict[str, int] = {}
-    for e in snapshot.entities():
-        counts[e.type_word] = counts.get(e.type_word, 0) + 1
+    counts = Counter(e.type_word for e in snapshot.entities())
     return sorted(w for w, n in counts.items() if n == 1)
 
 
 def _property_words(snapshot: Snapshot) -> list[str]:
-    words = {
-        t.object_text
-        for t in snapshot.triples
-        if t.predicate in PROPERTY_PREDICATES
-    }
-    return sorted(words)
+    return sorted({t.object_text for t in snapshot.triples if t.predicate in PROPERTY_PREDICATES})
 
 
 def _ref_options(snapshot: Snapshot, exclude: set[str] = frozenset()) -> list[dict]:
@@ -455,107 +357,178 @@ def _sample_entity_ref(snapshot: Snapshot, rng: random.Random, exclude: set[str]
     return rng.choice(options)
 
 
-def _sample_threshold(values: list[float], rng: random.Random) -> float | None:
-    """Pick a cut strictly between two realized values, integers preferred."""
+def _sample_cut(args: dict, values: list[float], rng: random.Random) -> dict | None:
+    """args plus a comparator and a threshold strictly between two
+    realized values, integers preferred; None when there is no such cut."""
     distinct = sorted(set(values))
     if len(distinct) < 2:
         return None
     k = rng.randint(1, len(distinct) - 1)
     lo, hi = distinct[k - 1], distinct[k]
-    ints = [v for v in range(int(lo) , int(hi) + 2) if lo + TIE_MARGIN < v < hi - TIE_MARGIN]
+    ints = [v for v in range(int(lo), int(hi) + 2) if lo + TIE_MARGIN < v < hi - TIE_MARGIN]
     if ints:
-        return float(rng.choice(ints))
-    mid = round((lo + hi) / 2.0, 2)
-    if lo + TIE_MARGIN < mid < hi - TIE_MARGIN:
-        return float(mid)
-    return None
+        threshold = rng.choice(ints)
+    else:
+        threshold = round((lo + hi) / 2.0, 2)
+        if not lo + TIE_MARGIN < threshold < hi - TIE_MARGIN:
+            return None
+    return {**args, "comparator": rng.choice(COMPARATORS), "threshold": float(threshold)}
 
 
-def _sample_clause(
-    kind: str,
-    snapshots: list[Snapshot],
-    config: "GenConfig",
-    rng: random.Random,
-    allow_negation: bool,
-) -> Clause | None:
-    from . import oracle  # cycle: oracle executes forms defined here
+# Each sampler takes (snapshots, config, rng) and returns the clause
+# arguments, or None when this scene offers none; the sampler of a
+# combinable kind runs after that clause's negation draw.
 
+
+def _sample_name(snapshots, config, rng):
+    return {"name": rng.choice(_entity_names(snapshots[-1]))}
+
+
+def _sample_tag(snapshots, config, rng):
+    words = _property_words(snapshots[-1])
+    return {"tag": rng.choice(words)} if words else None
+
+
+def _sample_absolute_cardinal(snapshots, config, rng):
+    axis = rng.choice(AXES)
+    index = AXES.index(axis)
+    values = [object_position(obj)[index] for obj in snapshots[-1].reference_objects]
+    return _sample_cut({"axis": axis}, values, rng)
+
+
+def _sample_absolute_distance(snapshots, config, rng):
+    point = [rng.randrange(config.world_size) for _ in range(3)]
+    objects = snapshots[-1].reference_objects
+    values = [oracle.distance_to_point(obj, tuple(point)) for obj in objects]
+    return _sample_cut({"point": point}, values, rng)
+
+
+def _sample_axis(snapshots, config, rng):
+    return {"axis": rng.choice(AXES)}
+
+
+def _sample_frame_side(snapshots, config, rng):
+    return {"frame": rng.choice(FRAMES), "side": rng.choice(SIDES)}
+
+
+def _sample_no_args(snapshots, config, rng):
+    return {}
+
+
+def _sample_location_at_time(snapshots, config, rng):
+    time = rng.choice(TIMES)
+    snapshot = snapshots[0] if time == "beginning" else snapshots[-1]
+    return {"ref": _sample_entity_ref(snapshot, rng), "time": time}
+
+
+def _sample_object_tracking(snapshots, config, rng):
     last = snapshots[-1]
-    negated = (
-        allow_negation
-        and kind in COMBINABLE_KINDS
-        and rng.random() < config.negation_prob
-    )
-    if kind == "name":
-        names = _entity_names(last)
-        return Clause("name", negated, {"name": rng.choice(names)})
-    if kind == "tag":
-        words = _property_words(last)
-        if not words:
-            return None
-        return Clause("tag", negated, {"tag": rng.choice(words)})
-    if kind == "absolute_cardinal":
-        axis = rng.choice(AXES)
-        values = [
-            object_position(obj)[AXES.index(axis)] for obj in last.reference_objects
-        ]
-        threshold = _sample_threshold(values, rng)
-        if threshold is None:
-            return None
-        return Clause(
-            "absolute_cardinal",
-            negated,
-            {"axis": axis, "comparator": rng.choice(COMPARATORS), "threshold": threshold},
-        )
-    if kind == "absolute_distance":
-        point = [rng.randrange(config.world_size) for _ in range(3)]
-        values = [
-            oracle.distance_to_point(obj, tuple(point)) for obj in last.reference_objects
-        ]
-        threshold = _sample_threshold(values, rng)
-        if threshold is None:
-            return None
-        return Clause(
-            "absolute_distance",
-            negated,
-            {"point": point, "comparator": rng.choice(COMPARATORS), "threshold": threshold},
-        )
-    if kind in ("direction", "temporal_relative", "max_direction"):
-        return Clause(kind, negated, {"frame": rng.choice(FRAMES), "side": rng.choice(SIDES)})
-    if kind == "temporal_cardinal":
-        return Clause("temporal_cardinal", negated, {"axis": rng.choice(AXES)})
-    if kind in ("farthest_moved", "action"):
-        return Clause(kind)
-    if kind == "location_at_time":
-        time = rng.choice(TIMES)
-        snapshot = snapshots[0] if time == "beginning" else last
-        return Clause(
-            "location_at_time", args={"ref": _sample_entity_ref(snapshot, rng), "time": time}
-        )
-    if kind == "object_tracking":
-        speaker = next(e.name for e in last.entities() if e.kind == "player")
-        ref = _sample_entity_ref(last, rng, exclude={speaker, "player"})
-        target = [rng.randrange(config.world_size) for _ in range(3)]
-        return Clause("object_tracking", args={"ref": ref, "target": target})
-    if kind == "closest_object":
-        anchor = rng.choice([{"by": "me"}, {"by": "you"}] + _ref_options(last))
-        return Clause("closest_object", args={"anchor": anchor})
-    if kind == "distance_between":
-        a = _sample_entity_ref(last, rng)
-        b = rng.choice([{"by": "me"}, {"by": "you"}] + _ref_options(last))
-        if oracle.resolve_ref(a, last).memid == oracle.resolve_ref(b, last).memid:
-            return None
-        return Clause("distance_between", args={"a": a, "b": b})
-    if kind == "distance_from_position":
-        return Clause(
-            "distance_from_position",
-            args={
-                "frame": rng.choice(FRAMES),
-                "side": rng.choice(SIDES),
-                "steps": rng.randint(1, 5),
-            },
-        )
-    raise QueryFormError(f"unknown clause kind {kind!r}")
+    speaker = next(e.name for e in last.entities() if e.kind == "player")
+    ref = _sample_entity_ref(last, rng, exclude={speaker, "player"})
+    return {"ref": ref, "target": [rng.randrange(config.world_size) for _ in range(3)]}
+
+
+def _sample_closest_object(snapshots, config, rng):
+    return {"anchor": rng.choice([{"by": "me"}, {"by": "you"}] + _ref_options(snapshots[-1]))}
+
+
+def _sample_distance_between(snapshots, config, rng):
+    last = snapshots[-1]
+    a = _sample_entity_ref(last, rng)
+    b = rng.choice([{"by": "me"}, {"by": "you"}] + _ref_options(last))
+    if oracle.resolve_ref(a, last).memid == oracle.resolve_ref(b, last).memid:
+        return None
+    return {"a": a, "b": b}
+
+
+def _sample_distance_from_position(snapshots, config, rng):
+    return {**_sample_frame_side(snapshots, config, rng), "steps": rng.randint(1, 5)}
+
+
+class Kind(NamedTuple):
+    """One clause kind: everything the sampler, the grammar and the oracle need."""
+
+    query_class: str  # "property", "temporal" or "geometric"
+    templates: tuple[tuple[dict, str], ...]  # (arguments the template fixes, template)
+    sample: Callable  # draws the arguments, see above
+    evaluate: Callable  # oracle.eval_<kind>
+    combinable: bool = False  # joins a second clause and can be negated
+    argmax: bool = False  # selects a single object by maximizing a score
+    returns: str | None = None  # set for a value kind: the return type it forces
+
+
+# The order within a class is the order sample_query draws kinds in.
+KINDS = {
+    "name": Kind(
+        "property", (({}, "that {neg:do not have|have} the name {name:word}"),),
+        _sample_name, oracle.eval_name, combinable=True),
+    "tag": Kind(
+        "property", (({}, "that {neg:do not have|has} the property {tag:word}"),),
+        _sample_tag, oracle.eval_tag, combinable=True),
+    "absolute_cardinal": Kind(
+        "property",
+        (({}, "where the {axis:axis} coordinate is {neg:not |}{comparator:cmp} than "
+              "{threshold:num}"),),
+        _sample_absolute_cardinal, oracle.eval_absolute_cardinal, combinable=True),
+    "temporal_cardinal": Kind(
+        "temporal", (({}, "that {neg:did not increase|increased} {axis:axis} the most"),),
+        _sample_axis, oracle.eval_temporal_cardinal, combinable=True, argmax=True),
+    "temporal_relative": Kind(
+        "temporal", (({}, "that {neg:did not move|moved} to {frame:frame} {side:side} the most"),),
+        _sample_frame_side, oracle.eval_temporal_relative, combinable=True, argmax=True),
+    "farthest_moved": Kind(
+        "temporal", (({}, "that moved the farthest"),),
+        _sample_no_args, oracle.eval_farthest_moved, argmax=True),
+    "location_at_time": Kind(
+        "temporal",
+        (({"time": "beginning"}, "what was the location of {ref:ref} at the beginning?"),
+         ({"time": "now"}, "what is the location of {ref:ref} now?")),
+        _sample_location_at_time, oracle.eval_location_at_time, returns="location"),
+    "action": Kind(
+        "temporal", (({}, "what did you do?"),),
+        _sample_no_args, oracle.eval_action, returns="action_name"),
+    "object_tracking": Kind(
+        "temporal", (({}, "where would {ref:ref} be if i moved to {target:cell}?"),),
+        _sample_object_tracking, oracle.eval_object_tracking, returns="location"),
+    "absolute_distance": Kind(
+        "geometric",
+        (({}, "where the distance to {point:point} is {neg:not |}{comparator:cmp} than "
+              "{threshold:num}"),),
+        _sample_absolute_distance, oracle.eval_absolute_distance, combinable=True),
+    "direction": Kind(
+        "geometric", (({}, "{neg:not to|to} {frame:frame} {side:side}"),),
+        _sample_frame_side, oracle.eval_direction, combinable=True),
+    "closest_object": Kind(
+        "geometric", (({}, "that is closest to {anchor:ref}"),),
+        _sample_closest_object, oracle.eval_closest_object, argmax=True),
+    "max_direction": Kind(
+        "geometric", (({}, "that is the most to {frame:frame} {side:side}"),),
+        _sample_frame_side, oracle.eval_max_direction, argmax=True),
+    "distance_between": Kind(
+        "geometric", (({}, "how far is {a:ref} from {b:ref}?"),),
+        _sample_distance_between, oracle.eval_distance_between, returns="distance"),
+    "distance_from_position": Kind(
+        "geometric",
+        (({}, "what is the location {steps:int} steps to {frame:frame} {side:side}?"),),
+        _sample_distance_from_position, oracle.eval_distance_from_position, returns="location"),
+}
+
+ALL_KINDS = tuple(KINDS)
+COMBINABLE_KINDS = frozenset(k for k, spec in KINDS.items() if spec.combinable)
+STANDALONE_KINDS = frozenset(ALL_KINDS) - COMBINABLE_KINDS
+ARGMAX_KINDS = frozenset(k for k, spec in KINDS.items() if spec.argmax)
+VALUE_KINDS = frozenset(k for k, spec in KINDS.items() if spec.returns)
+# (kind, arguments the template fixes, template), in KINDS order
+TEMPLATES = tuple((k, fixed, t) for k, spec in KINDS.items() for fixed, t in spec.templates)
+
+_ENTRIES = tuple(_compile(*row) for row in TEMPLATES)
+_BY_KIND = {kind: [e for e in _ENTRIES if e.kind == kind] for kind in KINDS}
+_QUERY_ENTRIES = tuple(e for e in _ENTRIES if KINDS[e.kind].returns)
+_FILTER_ENTRIES = tuple(e for e in _ENTRIES if not KINDS[e.kind].returns)
+_HEAD_KEYS = {text: key for key, text in HEADS.items()}
+
+
+# --- sampling ----------------------------------------------------------------
 
 
 def sample_query(
@@ -563,17 +536,16 @@ def sample_query(
     config: "GenConfig",
     rng: random.Random,
     action_log=(),
-) -> tuple[QueryForm, str]:
+) -> tuple[QueryForm, str, oracle.Answer]:
     """Sample an answerable query against the snapshot history.
 
     The query class is drawn from the config weights, then clause kinds,
     arguments, conjunction and return type are rejection-sampled until
     the executed answer is non-empty (count and action queries aside)
-    and free of argmax ties. Raises UnanswerableSceneError when the
-    attempt budget runs out; callers regenerate the scene.
+    and free of argmax ties. Returns the form, its text and that answer.
+    Raises UnanswerableSceneError when the attempt budget runs out;
+    callers regenerate the scene.
     """
-    from . import oracle
-
     if not snapshots:
         raise ValueError("need at least one snapshot")
     classes = [c for c, w in config.class_weights.items() if w > 0]
@@ -582,37 +554,36 @@ def sample_query(
     if query_class == "temporal" and len(snapshots) < 2:
         raise ValueError("temporal queries need at least two snapshots")
 
-    kinds = _CLASS_KINDS[query_class]
-    combinable = [k for k in kinds if k in COMBINABLE_KINDS]
+    kinds = [k for k, spec in KINDS.items() if spec.query_class == query_class]
+    combinable = [k for k in kinds if KINDS[k].combinable]
     for _ in range(config.query_attempts):
-        two = len(combinable) >= 1 and rng.random() < config.two_clause_prob
-        if two:
+        if combinable and rng.random() < config.two_clause_prob:
             chosen = [rng.choice(combinable), rng.choice(combinable)]
             op = rng.choice(["and", "or"])
         else:
-            chosen = [rng.choice(list(kinds))]
+            chosen = [rng.choice(kinds)]
             op = None
         clauses = []
         for kind in chosen:
-            clause = _sample_clause(kind, snapshots, config, rng, allow_negation=True)
-            if clause is None:
+            spec = KINDS[kind]
+            negated = spec.combinable and rng.random() < config.negation_prob
+            args = spec.sample(snapshots, config, rng)
+            if args is None:
                 break
-            clauses.append(clause)
+            clauses.append(Clause(kind, negated, args))
         if len(clauses) != len(chosen):
             continue
         if len(clauses) == 2 and clauses[0] == clauses[1]:
             continue
         allowed = allowed_return_types(tuple(clauses), op)
         return_type = rng.choice(list(allowed))
+        # valid by construction: only combinable kinds negate or pair up
+        form = QueryForm(clauses=tuple(clauses), return_type=return_type, op=op)
         try:
-            form = QueryForm(clauses=tuple(clauses), return_type=return_type, op=op)
-        except QueryFormError:
-            continue
-        try:
-            oracle.execute(form, snapshots, action_log, tie_margin=TIE_MARGIN)
+            answer = oracle.execute(form, snapshots, action_log, tie_margin=TIE_MARGIN)
         except (oracle.UnanswerableQueryError, oracle.AmbiguousTieError):
             continue
-        return form, render_text(form)
+        return form, render_text(form), answer
     raise UnanswerableSceneError(
         f"no answerable {query_class} query in {config.query_attempts} attempts"
     )

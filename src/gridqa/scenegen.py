@@ -31,6 +31,8 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .config import ConfigError
+from .querygen import is_query_word
 from .worldcore import AGENT, NPC, PLAYER, Cell, Pose, WorldState, snap_coord
 
 if TYPE_CHECKING:
@@ -308,7 +310,10 @@ def _load_words(path: Path) -> tuple[str, ...]:
         w.strip().lower() for w in path.read_text(encoding="utf-8").splitlines() if w.strip()
     )
     if not words:
-        raise ValueError(f"empty pool file: {path}")
+        raise ConfigError(f"empty pool file: {path}")
+    bad = [w for w in words if not is_query_word(w)]
+    if bad:
+        raise ConfigError(f"pool file {path}: {bad[0]!r} is not a word queries can carry")
     return words
 
 
@@ -425,16 +430,19 @@ def _place_block(world: WorldState, shape: str, taken: set[Cell], rng: random.Ra
     )
 
 
-def build_scene(config: "GenConfig", rng: random.Random) -> WorldState:
+def build_scene(
+    config: "GenConfig", rng: random.Random, pools: ScenePools | None = None
+) -> WorldState:
     """Build a fresh world: agent, player, NPCs and block objects.
 
-    Pure in (config, rng state): the same seed always yields the same
-    world. Raises ConfigError for an invalid config, and
+    Pure in (config, pools, rng state); pools are read from config when
+    not given. Raises ConfigError for an invalid config, and
     SceneCapacityError when the world is too small to place everything
     within bounded retries.
     """
     config.validate()
-    pools = ScenePools.from_config(config)
+    if pools is None:
+        pools = ScenePools.from_config(config)
     if config.n_npcs + 2 > len(pools.names):
         raise SceneCapacityError("name pool too small for requested entity count")
 

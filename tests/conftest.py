@@ -1,4 +1,6 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,17 @@ from gridqa.querygen import (
     allowed_return_types,
 )
 from gridqa.worldcore import AGENT, NPC, PLAYER, Pose, WorldState, take_snapshot
+
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, and no .hypothesis/ cache left in the tree
+    settings.register_profile("gridqa", derandomize=True, database=None)
+    settings.load_profile("gridqa")
+    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "gridqa-hypothesis")
 
 
 @pytest.fixture

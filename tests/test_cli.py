@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,50 @@ def test_a_run_hashes_its_pool_file_once(tmp_path, monkeypatch):
     assert generate_sample(config, 3).to_record() == records[3]
 
 
+def test_a_run_reads_each_pool_file_once(tmp_path, monkeypatch):
+    files = {}
+    for field, words in (
+        ("names_file", CUSTOM_NAMES),
+        ("npc_types_file", "cow\npig\nsheep\n"),
+        ("colors_file", "red\nblue\ngreen\n"),
+    ):
+        files[field] = tmp_path / f"{field}.txt"
+        files[field].write_text(words, encoding="utf-8")
+    reads = Counter()
+    real_read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads[self] += 1
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    config = small_config(tmp_path, n_samples=20, **{k: str(v) for k, v in files.items()})
+    generate(config)
+    assert [reads[path] for path in files.values()] == [1, 1, 1]
+    reads.clear()
+    assert validate_dataset(Path(config.out_dir) / "train.jsonl", config) == []
+    assert [reads[path] for path in files.values()] == [1, 1, 1]
+
+
+def test_a_pool_file_rewritten_during_a_run_changes_no_record(tmp_path, monkeypatch):
+    names = tmp_path / "names.txt"
+    names.write_text(CUSTOM_NAMES, encoding="utf-8")
+    config = small_config(tmp_path, n_samples=20, names_file=str(names))
+    generate(config)
+    expected = read_all_records(Path(config.out_dir))
+    real = cli.generate_sample
+
+    def rewriting(config, index, *run_inputs):
+        sample = real(config, index, *run_inputs)
+        names.write_text("uma\nvic\nwes\nxia\nyul\nzed\n", encoding="utf-8")
+        return sample
+
+    monkeypatch.setattr(cli, "generate_sample", rewriting)
+    rerun = dataclasses.replace(config, out_dir=str(tmp_path / "rerun"))
+    generate(rerun)
+    assert read_all_records(Path(rerun.out_dir)) == expected
+
+
 def test_subset_regeneration_matches_full_run(tmp_path):
     config = small_config(tmp_path)
     generate(config)
@@ -245,10 +290,10 @@ def test_failed_generate_leaves_no_files_and_no_children(tmp_path, monkeypatch, 
         pytest.skip("workers see the patched generate_sample only when forked")
     real = cli.generate_sample
 
-    def failing(config, index, config_digest=None):
+    def failing(config, index, *run_inputs):
         if index == 5:
             raise GenerationCapacityError(f"sample {index}: injected failure")
-        return real(config, index, config_digest)
+        return real(config, index, *run_inputs)
 
     monkeypatch.setattr(cli, "generate_sample", failing)
     config = small_config(tmp_path)
@@ -519,4 +564,11 @@ def test_main_exit_codes(tmp_path, capsys):
     )
     # usage error maps to config error
     assert main(["generate", "--bogus-flag"]) == 1
+    # a pool file that is empty, or holds a word query text cannot carry, is a
+    # config error found before any output
+    pool, out = tmp_path / "pool.txt", tmp_path / "bad-pool"
+    for words in ("\n", CUSTOM_NAMES + "me\n", CUSTOM_NAMES + "and\n", CUSTOM_NAMES + "o'hara\n"):
+        pool.write_text(words)
+        assert main(["generate", "--out", str(out), "--set", f"names_file={pool}"]) == 1
+        assert not out.exists()
     capsys.readouterr()

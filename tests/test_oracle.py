@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,11 +14,17 @@ from gridqa.oracle import (
     clause_match_set,
     execute,
     format_answer,
-    geometric_eval,
     resolve_ref,
-    temporal_eval,
 )
-from gridqa.querygen import Clause, QueryForm, sample_query
+from gridqa.querygen import (
+    KINDS,
+    TIE_MARGIN,
+    Clause,
+    QueryForm,
+    UnanswerableSceneError,
+    allowed_return_types,
+    sample_query,
+)
 from gridqa.serialize import relational_ids, render_relational_context
 from gridqa.worldcore import AGENT, NPC, PLAYER, Pose, memid_hex, take_snapshot
 
@@ -125,7 +132,7 @@ def test_closest_object_excludes_anchor_itself():
     world = fig_world()
     snap = take_snapshot(world, 0)
     clause = Clause("closest_object", False, {"anchor": {"by": "type", "word": "cow"}})
-    matched = geometric_eval(clause, snap)
+    matched, _ = clause_match_set(clause, [snap])
     anchor = resolve_ref({"by": "type", "word": "cow"}, snap)
     assert anchor.memid not in matched
 
@@ -140,7 +147,7 @@ def test_count_distance_threshold_matches_naive_scan():
             False,
             {"point": list(point), "comparator": "greater", "threshold": threshold},
         )
-        matched = geometric_eval(clause, snap)
+        matched, _ = clause_match_set(clause, [snap])
         expected = {
             o.memid
             for o in snap.reference_objects
@@ -193,7 +200,7 @@ def test_farthest_moved_compares_norms():
 
 def test_stationary_object_never_farthest():
     _, snapshots = moved_world()
-    matched = temporal_eval(Clause("farthest_moved"), snapshots)
+    matched, _ = clause_match_set(Clause("farthest_moved"), snapshots)
     still = [e for e in snapshots[0].entities() if e.name == "still"][0]
     assert still.memid not in matched
 
@@ -311,9 +318,9 @@ def test_tie_margin_rejects_close_argmax():
     snap = take_snapshot(world, 0)
     clause = Clause("closest_object", False, {"anchor": {"by": "me"}})
     with pytest.raises(AmbiguousTieError):
-        geometric_eval(clause, snap, tie_margin=1e-6)
+        clause_match_set(clause, [snap], tie_margin=1e-6)
     # without a margin the winner is still deterministic
-    assert geometric_eval(clause, snap) == geometric_eval(clause, snap)
+    assert clause_match_set(clause, [snap]) == clause_match_set(clause, [snap])
 
 
 def test_unanswerable_name_raises():
@@ -327,7 +334,7 @@ def test_answer_memids_resolve_in_relational_context():
     for seed in range(25):
         _, snapshots = make_episode(seed)
         rng = random.Random(seed + 1000)
-        form, _ = sample_query(snapshots, config, rng)
+        form, _, _ = sample_query(snapshots, config, rng)
         answer = execute(form, snapshots)
         ids = relational_ids(render_relational_context(snapshots))
         assert set(answer.relevant_memids) <= ids
@@ -351,9 +358,40 @@ def test_execute_matches_reference_oracle_on_random_scenes():
     for seed in range(120):
         world, snapshots = make_episode(seed)
         rng = random.Random(seed + 5_000)
-        form, text = sample_query(snapshots, config, rng, world.action_log)
+        form, text, _ = sample_query(snapshots, config, rng, world.action_log)
         fast = execute(form, snapshots, world.action_log).text
         slow = reference_oracle.execute(form.to_dict(), snapshots, world.action_log)
         if fast != slow:
             mismatches.append((text, fast, slow))
     assert not mismatches, mismatches[:5]
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_kind_agrees_with_the_reference_oracle(kind):
+    """The kind's own sampler on 40 episodes; every return type it allows,
+    negated and not where it combines; each of those answered at least once."""
+    config, spec = GenConfig(), KINDS[kind]
+    answered, tried, mismatches = Counter(), set(), []
+    for seed in range(40):
+        world, snapshots = make_episode(seed)
+        try:
+            args = spec.sample(snapshots, config, random.Random(seed + 9_000))
+        except UnanswerableSceneError:
+            continue
+        if args is None:
+            continue
+        for negated in (False, True) if spec.combinable else (False,):
+            clauses = (Clause(kind, negated, args),)
+            for return_type in allowed_return_types(clauses, None):
+                tried.add((negated, return_type))
+                form = QueryForm(clauses=clauses, return_type=return_type)
+                try:
+                    fast = execute(form, snapshots, world.action_log, TIE_MARGIN).text
+                except (UnanswerableQueryError, AmbiguousTieError):
+                    continue
+                answered[negated, return_type] += 1
+                slow = reference_oracle.execute(form.to_dict(), snapshots, world.action_log)
+                if fast != slow:
+                    mismatches.append((seed, form.to_dict(), fast, slow))
+    assert not mismatches, mismatches[:3]
+    assert tried and set(answered) == tried, (tried, answered)

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from gridqa.querygen import (
     ARGMAX_KINDS,
     COMBINABLE_KINDS,
     HEADS,
+    KINDS,
     STANDALONE_KINDS,
     TEMPLATES,
     VALUE_KINDS,
@@ -205,7 +207,7 @@ def test_sampled_queries_respect_compatibility():
     for seed in range(60):
         _, snapshots = make_episode(seed)
         rng = random.Random(seed)
-        form, text = sample_query(snapshots, config, rng)
+        form, text, _ = sample_query(snapshots, config, rng)
         assert form.return_type in allowed_return_types(form.clauses, form.op)
         assert parse_form(text) == form
         for clause in form.clauses:
@@ -260,9 +262,27 @@ def test_kind_catalog_is_complete():
     assert ARGMAX_KINDS & COMBINABLE_KINDS == {"temporal_cardinal", "temporal_relative"}
 
 
+def _ticked(text: str) -> set[str]:
+    return set(re.findall(r"`(\w+)`", text))
+
+
 def test_format_md_lists_every_template_and_head():
     text = (Path(__file__).resolve().parents[1] / "FORMAT.md").read_text(encoding="utf-8")
     for head in HEADS.values():
         assert f"`{head}`" in text, head
     for _kind, _fixed, template in TEMPLATES:
         assert template in text, template
+    sections = {
+        part.split("\n", 1)[0]: " ".join(part.split()) for part in text.split("\n### ")[1:]
+    }
+    heads = sections["Heads"]
+    assert _ticked(heads[heads.index("argmax kind (") :].split(")", 1)[0]) == ARGMAX_KINDS
+    rules = sections["Combination and return types"]
+    assert _ticked(rules[: rules.index(" combine with")]) == COMBINABLE_KINDS
+    forced = {
+        kind: return_type
+        for kinds, return_type in re.findall(r"((?:`\w+`(?:, | and ))*`\w+`) returns? `(\w+)`", rules)
+        for kind in _ticked(kinds)
+    }
+    assert forced == {kind: spec.returns for kind, spec in KINDS.items() if spec.returns}
+
