@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -81,6 +82,41 @@ def test_unknown_shape_raises():
         make_shape("dodecahedron", {"size": 2}, (0, 0, 0))
     with pytest.raises(UnknownShapeError):
         sample_shape_params("dodecahedron", random.Random(0))
+
+
+# sha256(repr((draws, rng.getstate()))) prefix after 50 sample_shape_params
+# draws from random.Random(7), in SHAPES order: build_scene picks shapes with
+# rng.choice(SHAPES), so the order is part of the output too
+SHAPE_DRAW_DIGESTS = {
+    "hole": "2cba3c2227cdb5c9",
+    "cube": "556b64186a76ae7a",
+    "hollow_cube": "556b64186a76ae7a",
+    "rectanguloid": "5d35461ba78c9f14",
+    "hollow_rectanguloid": "5d35461ba78c9f14",
+    "sphere": "65d9439daa63b173",
+    "spherical_shell": "65d9439daa63b173",
+    "pyramid": "d136c52b20ecd65d",
+    "square": "556b64186a76ae7a",
+    "rectangle": "0f373b09775bf841",
+    "circle": "65d9439daa63b173",
+    "disk": "65d9439daa63b173",
+    "triangle": "d136c52b20ecd65d",
+    "dome": "65d9439daa63b173",
+    "arch": "ecd5001428c375b8",
+    "ellipsoid": "4480e5b0d35d3eef",
+    "hollow_triangle": "d136c52b20ecd65d",
+    "hollow_rectangle": "0f373b09775bf841",
+    "rectanguloid_frame": "5d35461ba78c9f14",
+}
+
+
+def test_shape_param_draws_are_pinned():
+    assert tuple(SHAPE_DRAW_DIGESTS) == SHAPES
+    for shape in SHAPES:
+        rng = random.Random(7)
+        draws = [sample_shape_params(shape, rng) for _ in range(50)]
+        digest = hashlib.sha256(repr((draws, rng.getstate())).encode()).hexdigest()[:16]
+        assert digest == SHAPE_DRAW_DIGESTS[shape], shape
 
 
 def test_default_scene_composition():
