@@ -2,24 +2,8 @@
 
 Builds an initial world from seeded randomness: one agent, one player,
 a configurable number of NPCs drawn from the name/type/color pools, and
-block objects built from the voxel shape catalog.
-
-Shape parameterization (origin is the minimum corner, except for the
-radial shapes sphere, spherical_shell, dome, circle, disk and ellipsoid
-where origin is the center cell; full details in FORMAT.md):
-
-    cube, hollow_cube, square, pyramid, triangle, hollow_triangle
-        {"size": s}
-    rectanguloid, hollow_rectanguloid, rectanguloid_frame, hole
-        {"size": [sx, sy, sz]}
-    rectangle, hollow_rectangle
-        {"size": [sx, sz]}
-    sphere, spherical_shell, dome, circle, disk
-        {"radius": r}
-    ellipsoid
-        {"radii": [rx, ry, rz]}
-    arch
-        {"width": w, "height": h}
+block objects built from the voxel shape catalog `_SHAPES`. FORMAT.md's
+Shapes section gives each shape's parameters, sampled ranges and cells.
 """
 
 from __future__ import annotations
@@ -29,7 +13,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .config import ConfigError
 from .querygen import is_query_word
@@ -55,192 +39,152 @@ class SceneCapacityError(RuntimeError):
     """Raised when collision-free placement fails after bounded retries."""
 
 
-# --- voxel shape builders ---------------------------------------------------
+# --- voxel shape catalog ----------------------------------------------------
 
 
 def _box(sx: int, sy: int, sz: int) -> set[Cell]:
-    return {
-        (x, y, z)
-        for x in range(sx)
-        for y in range(sy)
-        for z in range(sz)
-    }
+    return {(x, y, z) for x in range(sx) for y in range(sy) for z in range(sz)}
 
 
-def _cube(p) -> set[Cell]:
-    s = p["size"]
-    return _box(s, s, s)
-
-
-def _hollow_cube(p) -> set[Cell]:
-    s = p["size"]
-    inner = {(x, y, z) for x in range(1, s - 1) for y in range(1, s - 1) for z in range(1, s - 1)}
-    return _box(s, s, s) - inner
-
-
-def _rectanguloid(p) -> set[Cell]:
-    sx, sy, sz = p["size"]
-    return _box(sx, sy, sz)
-
-
-def _hollow_rectanguloid(p) -> set[Cell]:
-    sx, sy, sz = p["size"]
-    inner = {
-        (x, y, z)
-        for x in range(1, sx - 1)
-        for y in range(1, sy - 1)
-        for z in range(1, sz - 1)
-    }
+def _hollow_box(sx: int, sy: int, sz: int) -> set[Cell]:
+    inner = {(x + 1, y + 1, z + 1) for x, y, z in _box(sx - 2, sy - 2, sz - 2)}
     return _box(sx, sy, sz) - inner
 
 
-def _rectanguloid_frame(p) -> set[Cell]:
+def _frame(p) -> set[Cell]:
     # keep only the edge cells: at least two coordinates on a face
     sx, sy, sz = p["size"]
-    out = set()
-    for x, y, z in _box(sx, sy, sz):
-        extremal = (x in (0, sx - 1)) + (y in (0, sy - 1)) + (z in (0, sz - 1))
-        if extremal >= 2:
-            out.add((x, y, z))
-    return out
+    return {
+        (x, y, z)
+        for x, y, z in _box(sx, sy, sz)
+        if (x in (0, sx - 1)) + (y in (0, sy - 1)) + (z in (0, sz - 1)) >= 2
+    }
 
 
-def _ball_cells(r: int) -> set[Cell]:
-    out = set()
-    for x in range(-r, r + 1):
-        for y in range(-r, r + 1):
-            for z in range(-r, r + 1):
-                if x * x + y * y + z * z <= r * r:
-                    out.add((x, y, z))
-    return out
+def _ball(r: int) -> set[Cell]:
+    span = range(-r, r + 1)
+    return {
+        (x, y, z) for x in span for y in span for z in span if x * x + y * y + z * z <= r * r
+    }
 
 
-def _sphere(p) -> set[Cell]:
-    return _ball_cells(p["radius"])
-
-
-def _spherical_shell(p) -> set[Cell]:
-    r = p["radius"]
-    return _ball_cells(r) - _ball_cells(r - 1)
-
-
-def _dome(p) -> set[Cell]:
-    return {(x, y, z) for x, y, z in _spherical_shell(p) if y >= 0}
+def _shell(r: int) -> set[Cell]:
+    return _ball(r) - _ball(r - 1)
 
 
 def _ellipsoid(p) -> set[Cell]:
     rx, ry, rz = p["radii"]
-    out = set()
-    for x in range(-rx, rx + 1):
-        for y in range(-ry, ry + 1):
-            for z in range(-rz, rz + 1):
-                if (x / rx) ** 2 + (y / ry) ** 2 + (z / rz) ** 2 <= 1.0:
-                    out.add((x, y, z))
-    return out
+    return {
+        (x, y, z)
+        for x in range(-rx, rx + 1)
+        for y in range(-ry, ry + 1)
+        for z in range(-rz, rz + 1)
+        if (x / rx) ** 2 + (y / ry) ** 2 + (z / rz) ** 2 <= 1.0
+    }
 
 
 def _pyramid(p) -> set[Cell]:
+    # layer k is the square [k, s - k) at height k, for every nonempty square
     s = p["size"]
-    out = set()
-    k = 0
-    while s - 2 * k >= 1:
-        for x in range(k, s - k):
-            for z in range(k, s - k):
-                out.add((x, k, z))
-        k += 1
-    return out
+    return {
+        (x, k, z) for k in range((s + 1) // 2) for x in range(k, s - k) for z in range(k, s - k)
+    }
 
 
-def _square(p) -> set[Cell]:
-    s = p["size"]
-    return {(x, 0, z) for x in range(s) for z in range(s)}
-
-
-def _rectangle(p) -> set[Cell]:
-    sx, sz = p["size"]
+def _rectangle(sx: int, sz: int) -> set[Cell]:
     return {(x, 0, z) for x in range(sx) for z in range(sz)}
 
 
 def _hollow_rectangle(p) -> set[Cell]:
     sx, sz = p["size"]
-    return {
-        (x, 0, z)
-        for x in range(sx)
-        for z in range(sz)
-        if x in (0, sx - 1) or z in (0, sz - 1)
-    }
+    return {c for c in _rectangle(sx, sz) if c[0] in (0, sx - 1) or c[2] in (0, sz - 1)}
 
 
-def _circle_cells(r: int) -> set[Cell]:
-    out = set()
-    for x in range(-r, r + 1):
-        for z in range(-r, r + 1):
-            if x * x + z * z <= r * r:
-                out.add((x, 0, z))
-    return out
+def _disk(r: int) -> set[Cell]:
+    span = range(-r, r + 1)
+    return {(x, 0, z) for x in span for z in span if x * x + z * z <= r * r}
 
 
-def _circle(p) -> set[Cell]:
-    r = p["radius"]
-    return _circle_cells(r) - _circle_cells(r - 1)
-
-
-def _disk(p) -> set[Cell]:
-    return _circle_cells(p["radius"])
-
-
-def _triangle(p) -> set[Cell]:
+def _triangle(s: int) -> set[Cell]:
     # right triangle in the xz plane: row z spans x in [0, z]
-    s = p["size"]
     return {(x, 0, z) for z in range(s) for x in range(z + 1)}
 
 
 def _hollow_triangle(p) -> set[Cell]:
     s = p["size"]
-    return {
-        (x, 0, z)
-        for z in range(s)
-        for x in range(z + 1)
-        if x == 0 or x == z or z == s - 1
-    }
+    return {(x, y, z) for x, y, z in _triangle(s) if x == 0 or x == z or z == s - 1}
 
 
 def _arch(p) -> set[Cell]:
     w, h = p["width"], p["height"]
-    out = {(0, y, 0) for y in range(h)} | {(w - 1, y, 0) for y in range(h)}
-    out |= {(x, h, 0) for x in range(w)}
-    return out
+    posts = {(x, y, 0) for x in (0, w - 1) for y in range(h)}
+    return posts | {(x, h, 0) for x in range(w)}
 
 
-def _hole(p) -> set[Cell]:
-    # cavity carved out of the ground; same cells as a rectanguloid
-    sx, depth, sz = p["size"]
-    return _box(sx, depth, sz)
+def _side(rng: random.Random) -> dict:
+    return {"size": rng.randint(2, 4)}
 
 
-_BUILDERS = {
-    "hole": _hole,
-    "cube": _cube,
-    "hollow_cube": _hollow_cube,
-    "rectanguloid": _rectanguloid,
-    "hollow_rectanguloid": _hollow_rectanguloid,
-    "sphere": _sphere,
-    "spherical_shell": _spherical_shell,
-    "pyramid": _pyramid,
-    "square": _square,
-    "rectangle": _rectangle,
-    "circle": _circle,
-    "disk": _disk,
-    "triangle": _triangle,
-    "dome": _dome,
-    "arch": _arch,
-    "ellipsoid": _ellipsoid,
-    "hollow_triangle": _hollow_triangle,
-    "hollow_rectangle": _hollow_rectangle,
-    "rectanguloid_frame": _rectanguloid_frame,
+def _sides_xz(rng: random.Random) -> dict:
+    return {"size": [rng.randint(2, 4), rng.randint(2, 4)]}
+
+
+def _sides_xyz(rng: random.Random) -> dict:
+    return {"size": [rng.randint(2, 4) for _ in range(3)]}
+
+
+def _radius(rng: random.Random) -> dict:
+    return {"radius": rng.randint(1, 2)}
+
+
+def _leg(rng: random.Random) -> dict:
+    return {"size": rng.randint(3, 5)}
+
+
+class Shape(NamedTuple):
+    """A catalog shape: build(params) gives its cells with the origin at
+    (0, 0, 0); sample(rng) draws params small enough for a 15-cell world."""
+
+    build: Callable[[dict], set[Cell]]
+    sample: Callable[[random.Random], dict]
+
+
+# build_scene draws shapes with rng.choice(SHAPES), so this order is part
+# of the output
+_SHAPES = {
+    # a cavity carved out of the ground; _place_block puts it on the floor
+    "hole": Shape(
+        lambda p: _box(*p["size"]),
+        lambda rng: {"size": [rng.randint(2, 3), rng.randint(1, 2), rng.randint(2, 3)]},
+    ),
+    "cube": Shape(lambda p: _box(p["size"], p["size"], p["size"]), _side),
+    "hollow_cube": Shape(lambda p: _hollow_box(p["size"], p["size"], p["size"]), _side),
+    "rectanguloid": Shape(lambda p: _box(*p["size"]), _sides_xyz),
+    "hollow_rectanguloid": Shape(lambda p: _hollow_box(*p["size"]), _sides_xyz),
+    "sphere": Shape(lambda p: _ball(p["radius"]), _radius),
+    "spherical_shell": Shape(lambda p: _shell(p["radius"]), _radius),
+    "pyramid": Shape(_pyramid, _leg),
+    "square": Shape(lambda p: _rectangle(p["size"], p["size"]), _side),
+    "rectangle": Shape(lambda p: _rectangle(*p["size"]), _sides_xz),
+    "circle": Shape(lambda p: _disk(p["radius"]) - _disk(p["radius"] - 1), _radius),
+    "disk": Shape(lambda p: _disk(p["radius"]), _radius),
+    "triangle": Shape(lambda p: _triangle(p["size"]), _leg),
+    "dome": Shape(lambda p: {c for c in _shell(p["radius"]) if c[1] >= 0}, _radius),
+    "arch": Shape(_arch, lambda rng: {"width": rng.randint(3, 5), "height": rng.randint(2, 3)}),
+    "ellipsoid": Shape(_ellipsoid, lambda rng: {"radii": [rng.randint(1, 2) for _ in range(3)]}),
+    "hollow_triangle": Shape(_hollow_triangle, _leg),
+    "hollow_rectangle": Shape(_hollow_rectangle, _sides_xz),
+    "rectanguloid_frame": Shape(_frame, _sides_xyz),
 }
 
-SHAPES = tuple(_BUILDERS)
+SHAPES = tuple(_SHAPES)
+
+
+def _shape(name: str) -> Shape:
+    try:
+        return _SHAPES[name]
+    except KeyError:
+        raise UnknownShapeError(f"unknown shape {name!r}") from None
 
 
 def _params_key(params: dict) -> tuple:
@@ -252,11 +196,7 @@ def _params_key(params: dict) -> tuple:
 # generator only asks for the few values sample_shape_params draws.
 @functools.cache
 def _template(shape: str, params_key: tuple) -> frozenset[Cell]:
-    try:
-        builder = _BUILDERS[shape]
-    except KeyError:
-        raise UnknownShapeError(f"unknown shape {shape!r}") from None
-    return frozenset(builder(dict(params_key)))
+    return frozenset(_shape(shape).build(dict(params_key)))
 
 
 @functools.cache
@@ -281,25 +221,7 @@ def placement(shape: str, size_params: dict, size: int) -> tuple[frozenset[Cell]
 
 def sample_shape_params(shape: str, rng: random.Random) -> dict:
     """Draw small size parameters for a shape, suitable for a 15-cell world."""
-    if shape in ("cube", "hollow_cube"):
-        return {"size": rng.randint(2, 4)}
-    if shape in ("rectanguloid", "hollow_rectanguloid", "rectanguloid_frame"):
-        return {"size": [rng.randint(2, 4) for _ in range(3)]}
-    if shape == "hole":
-        return {"size": [rng.randint(2, 3), rng.randint(1, 2), rng.randint(2, 3)]}
-    if shape in ("sphere", "spherical_shell", "dome", "circle", "disk"):
-        return {"radius": rng.randint(1, 2)}
-    if shape == "ellipsoid":
-        return {"radii": [rng.randint(1, 2) for _ in range(3)]}
-    if shape in ("square", "rectangle", "hollow_rectangle"):
-        if shape == "square":
-            return {"size": rng.randint(2, 4)}
-        return {"size": [rng.randint(2, 4), rng.randint(2, 4)]}
-    if shape in ("triangle", "hollow_triangle", "pyramid"):
-        return {"size": rng.randint(3, 5)}
-    if shape == "arch":
-        return {"width": rng.randint(3, 5), "height": rng.randint(2, 3)}
-    raise UnknownShapeError(f"unknown shape {shape!r}")
+    return _shape(shape).sample(rng)
 
 
 # --- pools ------------------------------------------------------------------
