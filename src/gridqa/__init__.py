@@ -10,7 +10,6 @@ from .serialize import (
     read_samples,
     render_relational_context,
     render_text_context,
-    write_samples,
 )
 from .worldcore import (
     BlockObject,
@@ -53,5 +52,4 @@ __all__ = [
     "schedule_snapshots",
     "step_world",
     "take_snapshot",
-    "write_samples",
 ]

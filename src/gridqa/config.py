@@ -191,6 +191,17 @@ def _resolve_pool_path(raw: str) -> str:
     return str(path)
 
 
+def _read_pair(pair: str, where: str) -> tuple[str, object]:
+    """The key and parsed value of a `key = value` string, split on the first
+    `=`; a ConfigError message starts with where."""
+    if "=" not in pair:
+        raise ConfigError(f"{where}: expected 'key = value', got {pair!r}")
+    key, raw = (part.strip() for part in pair.split("=", 1))
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, _parse_value(key, raw)
+
+
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 
@@ -199,14 +210,9 @@ def parse_config_text(text: str, base: GenConfig | None = None) -> GenConfig:
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT_RE.split(line, 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        updates[key] = _parse_value(key, raw)
+        if stripped:
+            key, value = _read_pair(stripped, f"line {lineno}")
+            updates[key] = value
     return replace(config, **updates)
 
 
@@ -221,12 +227,4 @@ def load_config(path: str | Path) -> GenConfig:
 
 def apply_overrides(config: GenConfig, pairs: list[str]) -> GenConfig:
     """Apply `key=value` strings (CLI flags) on top of a config."""
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r}: expected key=value")
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"override: unknown key {key!r}")
-        updates[key] = _parse_value(key, raw)
-    return replace(config, **updates)
+    return replace(config, **dict(_read_pair(pair, "override") for pair in pairs))

@@ -101,7 +101,7 @@ def schedule_snapshots(total_steps: int, n_snapshots: int) -> list[int]:
 
 
 def _heading_yaw(dx: float, dz: float) -> float:
-    # yaw 0 faces +z; see worldcore.look_vector
+    # yaw 0 faces +z; see the conventions in the worldcore docstring
     return float(round(math.degrees(math.atan2(-dx, dz)))) % 360.0
 
 

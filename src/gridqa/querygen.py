@@ -347,10 +347,13 @@ def _property_words(snapshot: Snapshot) -> list[str]:
 def _ref_options(snapshot: Snapshot, exclude: set[str] = frozenset()) -> list[dict]:
     """Entities referable by unique name or by unique type word."""
     options = [{"by": "name", "word": n} for n in _entity_names(snapshot) if n not in exclude]
-    return options + [{"by": "type", "word": w} for w in _unique_types(snapshot) if w not in exclude]
+    types = [{"by": "type", "word": w} for w in _unique_types(snapshot) if w not in exclude]
+    return options + types
 
 
-def _sample_entity_ref(snapshot: Snapshot, rng: random.Random, exclude: set[str] = frozenset()) -> dict:
+def _sample_entity_ref(
+    snapshot: Snapshot, rng: random.Random, exclude: set[str] = frozenset()
+) -> dict:
     options = _ref_options(snapshot, exclude)
     if not options:
         raise UnanswerableSceneError("no referenceable entity in scene")
@@ -515,9 +518,6 @@ KINDS = {
 
 ALL_KINDS = tuple(KINDS)
 COMBINABLE_KINDS = frozenset(k for k, spec in KINDS.items() if spec.combinable)
-STANDALONE_KINDS = frozenset(ALL_KINDS) - COMBINABLE_KINDS
-ARGMAX_KINDS = frozenset(k for k, spec in KINDS.items() if spec.argmax)
-VALUE_KINDS = frozenset(k for k, spec in KINDS.items() if spec.returns)
 # (kind, arguments the template fixes, template), in KINDS order
 TEMPLATES = tuple((k, fixed, t) for k, spec in KINDS.items() for fixed, t in spec.templates)
 

@@ -97,7 +97,7 @@ def _rectangle(sx: int, sz: int) -> set[Cell]:
 
 def _hollow_rectangle(p) -> set[Cell]:
     sx, sz = p["size"]
-    return {c for c in _rectangle(sx, sz) if c[0] in (0, sx - 1) or c[2] in (0, sz - 1)}
+    return {(x, y, z) for x, y, z in _rectangle(sx, sz) if x in (0, sx - 1) or z in (0, sz - 1)}
 
 
 def _disk(r: int) -> set[Cell]:
@@ -257,7 +257,14 @@ class ScenePools:
 
     @classmethod
     def from_config(cls, config: "GenConfig") -> "ScenePools":
+        """The pools config names; ConfigError for a pool file that is empty,
+        holds a word queries cannot carry, or has too few names."""
         names = _load_words(Path(config.names_file)) if config.names_file else default_names()
+        if config.n_npcs + 2 > len(names):
+            raise ConfigError(
+                f"names_file {config.names_file or '(packaged pool)'}: {len(names)} names, "
+                f"but n_npcs = {config.n_npcs} needs n_npcs + 2 = {config.n_npcs + 2}"
+            )
         npc_types = (
             _load_words(Path(config.npc_types_file)) if config.npc_types_file else NPC_TYPES
         )
@@ -332,7 +339,9 @@ def origin_ranges(template: frozenset[Cell], size: int) -> Ranges | None:
     return tuple(ranges)
 
 
-def _place_block(world: WorldState, shape: str, taken: set[Cell], rng: random.Random) -> frozenset[Cell]:
+def _place_block(
+    world: WorldState, shape: str, taken: set[Cell], rng: random.Random
+) -> frozenset[Cell]:
     size = world.world_size
     for _ in range(PLACEMENT_RETRIES):
         template, ranges = placement(shape, sample_shape_params(shape, rng), size)

@@ -222,20 +222,6 @@ def encode_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
-def write_samples(samples, path: str | Path) -> int:
-    """Write newline-delimited JSON records; returns the count written."""
-    path = Path(path)
-    count = 0
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for sample in samples:
-                handle.write(encode_record(sample.to_record()))
-                count += 1
-    except OSError as exc:
-        raise DatasetIOError(f"failed writing dataset {path}: {exc}") from exc
-    return count
-
-
 def read_jsonl(path: str | Path, build) -> list:
     """build(record) for each non-blank line of a JSONL file, in file order.
 

@@ -154,16 +154,6 @@ def object_position(obj: RefObject) -> Vec3:
     return obj.pose.position if isinstance(obj, Entity) else obj.centroid
 
 
-def look_vector(pose: Pose) -> Vec3:
-    yaw = math.radians(pose.yaw)
-    pitch = math.radians(pose.pitch)
-    return (
-        -math.sin(yaw) * math.cos(pitch),
-        -math.sin(pitch),
-        math.cos(yaw) * math.cos(pitch),
-    )
-
-
 def horizontal_direction(pose: Pose, side: str) -> Vec3:
     """Unit vector for left/right/front/back in the horizontal plane.
 
@@ -212,9 +202,6 @@ class Snapshot:
 
     def entities(self) -> list[Entity]:
         return [o for o in self.reference_objects if isinstance(o, Entity)]
-
-    def blocks(self) -> list[BlockObject]:
-        return [o for o in self.reference_objects if isinstance(o, BlockObject)]
 
     def memids(self) -> set[int]:
         return set(self._by_memid)

@@ -7,13 +7,12 @@ import pytest
 from gridqa import GenConfig
 from gridqa.dynamics import run_episode
 from gridqa.querygen import (
-    ARGMAX_KINDS,
     COMBINABLE_KINDS,
     Clause,
     QueryForm,
     allowed_return_types,
 )
-from gridqa.worldcore import AGENT, NPC, PLAYER, Pose, WorldState, take_snapshot
+from gridqa.worldcore import AGENT, NPC, PLAYER, BlockObject, Pose, WorldState, take_snapshot
 
 try:
     from hypothesis import settings
@@ -38,6 +37,11 @@ def make_episode(seed: int, config: GenConfig | None = None):
     rng = random.Random(seed)
     world, snapshots = run_episode(config, rng)
     return world, snapshots
+
+
+def snapshot_blocks(snap) -> list[BlockObject]:
+    """The block objects of a snapshot, in reference_objects order."""
+    return [o for o in snap.reference_objects if isinstance(o, BlockObject)]
 
 
 def simple_world(entities, world_size: int = 15, seed: int = 99) -> WorldState:

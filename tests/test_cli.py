@@ -111,8 +111,14 @@ def test_digest_ignores_output_fields_and_reads_pools_by_content(tmp_path):
 def test_overrides():
     config = apply_overrides(GenConfig(), ["n_samples=5", "seed=9"])
     assert config.n_samples == 5 and config.seed == 9
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^override: unknown key 'bogus'"):
         apply_overrides(GenConfig(), ["bogus=1"])
+    with pytest.raises(ConfigError, match="^override: expected 'key = value'"):
+        apply_overrides(GenConfig(), ["seed"])
+    with pytest.raises(ConfigError, match="^line 2: unknown key 'bogus'"):
+        parse_config_text("seed = 1\nbogus = 1\n")
+    with pytest.raises(ConfigError, match="^line 1: expected 'key = value'"):
+        parse_config_text("seed 1  # no equals sign\n")
 
 
 # --- generation ------------------------------------------------------------------
@@ -571,4 +577,9 @@ def test_main_exit_codes(tmp_path, capsys):
         pool.write_text(words)
         assert main(["generate", "--out", str(out), "--set", f"names_file={pool}"]) == 1
         assert not out.exists()
+    # as is a name pool smaller than n_npcs + 2 (here 6)
+    pool.write_text("ada\nalan\n")
+    assert main(["generate", "--out", str(out), "--set", f"names_file={pool}"]) == 1
+    assert not out.exists()
+    assert "n_npcs" in capsys.readouterr().err
     capsys.readouterr()

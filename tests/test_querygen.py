@@ -6,15 +6,13 @@ import pytest
 
 from conftest import make_episode, random_form
 from gridqa import GenConfig
+from gridqa.scenegen import SHAPES
 from gridqa.querygen import (
     ALL_KINDS,
-    ARGMAX_KINDS,
     COMBINABLE_KINDS,
     HEADS,
     KINDS,
-    STANDALONE_KINDS,
     TEMPLATES,
-    VALUE_KINDS,
     Clause,
     QueryForm,
     QueryFormError,
@@ -24,6 +22,9 @@ from gridqa.querygen import (
     render_text,
     sample_query,
 )
+
+STANDALONE_KINDS = frozenset(k for k, spec in KINDS.items() if not spec.combinable)
+ARGMAX_KINDS = frozenset(k for k, spec in KINDS.items() if spec.argmax)
 
 
 def form1(kind, args, return_type, negated=False):
@@ -258,7 +259,7 @@ def test_kind_catalog_is_complete():
         "absolute_distance",
         "direction",
     }
-    assert VALUE_KINDS < STANDALONE_KINDS
+    assert {k for k, spec in KINDS.items() if spec.returns} < STANDALONE_KINDS
     assert ARGMAX_KINDS & COMBINABLE_KINDS == {"temporal_cardinal", "temporal_relative"}
 
 
@@ -266,8 +267,19 @@ def _ticked(text: str) -> set[str]:
     return set(re.findall(r"`(\w+)`", text))
 
 
+def _format_md() -> str:
+    return (Path(__file__).resolve().parents[1] / "FORMAT.md").read_text(encoding="utf-8")
+
+
+def test_format_md_shapes_table_names_exactly_the_catalog():
+    section = _format_md().split("\n## Shapes\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == "shape"
+    assert sorted(rows[1:]) == sorted(SHAPES)
+
+
 def test_format_md_lists_every_template_and_head():
-    text = (Path(__file__).resolve().parents[1] / "FORMAT.md").read_text(encoding="utf-8")
+    text = _format_md()
     for head in HEADS.values():
         assert f"`{head}`" in text, head
     for _kind, _fixed, template in TEMPLATES:

@@ -198,8 +198,8 @@ def test_pool_overrides(tmp_path):
     world = build_scene(config, random.Random(0))
     assert {e.name for e in world.entities} <= {"ada", "grace", "katherine"}
     assert ScenePools.from_config(config).names == ("ada", "grace", "katherine")
-    names.write_text("hedy\n", encoding="utf-8")
-    assert ScenePools.from_config(config).names == ("hedy",)
+    names.write_text("hedy\nlinus\nalan\n", encoding="utf-8")
+    assert ScenePools.from_config(config).names == ("hedy", "linus", "alan")
 
 
 def test_npc_colors_and_types_from_pools():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import make_episode, minimal_world, simple_world
+from conftest import make_episode, minimal_world, simple_world, snapshot_blocks
 from gridqa import GenConfig
 from gridqa.cli import generate_sample
 from gridqa.serialize import (
@@ -18,7 +18,6 @@ from gridqa.serialize import (
     render_relational_context,
     render_text_context,
     section_lines,
-    write_samples,
 )
 from gridqa.dynamics import TASK_KINDS, run_episode
 from gridqa.worldcore import AGENT, NPC, PLAYER, Entity, Pose, take_snapshot
@@ -72,7 +71,7 @@ def test_section_counts_one_line_per_object_and_tag():
     for snap in snapshots:
         lines = section_lines(snap)
         n_entities = len(snap.entities())
-        n_blocks = len(snap.blocks())
+        n_blocks = len(snapshot_blocks(snap))
         n_tags = sum(
             1
             for t in snap.triples
@@ -148,10 +147,14 @@ def test_write_and_read_samples_round_trip(tmp_path):
     config = GenConfig()
     samples = [generate_sample(config, i) for i in range(8)]
     path = tmp_path / "out.jsonl"
-    assert write_samples(samples, path) == 8
+    path.write_text("".join(encode_record(s.to_record()) for s in samples), encoding="utf-8")
     back = read_samples(path)
     assert [s.to_record() for s in back] == [s.to_record() for s in samples]
     assert len(path.read_text().splitlines()) == 8
+    # zero samples are an empty file
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert read_samples(empty) == []
 
 
 @pytest.mark.parametrize("preset", ["default", "properties"])
@@ -169,17 +172,10 @@ def test_shallow_record_encodes_like_asdict(preset):
         assert encode_record(Sample.from_record(json.loads(line)).to_record()) == line
 
 
-def test_write_zero_samples(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    assert write_samples([], path) == 0
-    assert path.read_text() == ""
-    assert read_samples(path) == []
-
-
-def test_write_failure_carries_path_context(tmp_path):
+def test_read_failure_carries_path_context(tmp_path):
     target = tmp_path / "missing_dir" / "x.jsonl"
     with pytest.raises(DatasetIOError) as err:
-        write_samples([], target)
+        read_samples(target)
     assert "missing_dir" in str(err.value)
 
 
@@ -268,4 +264,4 @@ def test_relational_render_matches_the_plain_render_for_every_task_kind():
         assert rendered == plain, seed - 1
         assert encode_record(rendered) == encode_record(plain)
         if kind in ("build", "dig", "destroy"):
-            assert len(snapshots[0].blocks()) != len(snapshots[-1].blocks())
+            assert len(snapshot_blocks(snapshots[0])) != len(snapshot_blocks(snapshots[-1]))

@@ -6,7 +6,7 @@ from operator import attrgetter
 
 import pytest
 
-from conftest import make_episode, minimal_world, simple_world
+from conftest import make_episode, minimal_world, simple_world, snapshot_blocks
 from gridqa import GenConfig
 from gridqa.dynamics import Task, step_world
 from gridqa.serialize import read_relational_context, render_relational_context
@@ -22,7 +22,6 @@ from gridqa.worldcore import (
     UnknownMemidError,
     derive_memid,
     horizontal_direction,
-    look_vector,
     memid_hex,
     WorldState,
     snap_coord,
@@ -75,10 +74,8 @@ def test_memids_deterministic_and_distinct():
     assert len(memid_hex(derive_memid(1, 1))) == 16
 
 
-def test_look_vector_frame_convention():
+def test_horizontal_direction_frame_convention():
     # yaw 0 faces +z and right is -x
-    look = look_vector(Pose(0, 0, 0, yaw=0.0))
-    assert look == pytest.approx((0.0, 0.0, 1.0))
     assert horizontal_direction(Pose(0, 0, 0, yaw=0.0), "right") == pytest.approx((-1.0, 0.0, 0.0))
     assert horizontal_direction(Pose(0, 0, 0, yaw=0.0), "left") == pytest.approx((1.0, 0.0, 0.0))
     assert horizontal_direction(Pose(0, 0, 0, yaw=0.0), "front") == pytest.approx((0.0, 0.0, 1.0))
@@ -205,7 +202,7 @@ def test_centroid_equals_the_three_pass_sum():
     for seed in range(60):
         _, snapshots = make_episode(seed)
         for snap in snapshots:
-            for block in snap.blocks():
+            for block in snapshot_blocks(snap):
                 assert block.centroid == three_pass_centroid(block)
                 assert block.centroid == three_pass_centroid(block)  # cached value
 
