@@ -257,8 +257,9 @@ class ScenePools:
 
     @classmethod
     def from_config(cls, config: "GenConfig") -> "ScenePools":
-        """The pools config names; ConfigError for a pool file that is empty,
-        holds a word queries cannot carry, or has too few names."""
+        """Read the pools config names. Raises ConfigError for a pool file that
+        is empty or holds a word queries cannot carry, and for a name pool
+        smaller than n_npcs + 2."""
         names = _load_words(Path(config.names_file)) if config.names_file else default_names()
         if config.n_npcs + 2 > len(names):
             raise ConfigError(

@@ -582,4 +582,3 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["generate", "--out", str(out), "--set", f"names_file={pool}"]) == 1
     assert not out.exists()
     assert "n_npcs" in capsys.readouterr().err
-    capsys.readouterr()

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import make_episode, random_form
 from gridqa import GenConfig
-from gridqa.scenegen import SHAPES
 from gridqa.querygen import (
     ALL_KINDS,
     COMBINABLE_KINDS,
@@ -22,6 +21,7 @@ from gridqa.querygen import (
     render_text,
     sample_query,
 )
+from gridqa.scenegen import SHAPES
 
 STANDALONE_KINDS = frozenset(k for k, spec in KINDS.items() if not spec.combinable)
 ARGMAX_KINDS = frozenset(k for k, spec in KINDS.items() if spec.argmax)
