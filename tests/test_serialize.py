@@ -151,10 +151,6 @@ def test_write_and_read_samples_round_trip(tmp_path):
     back = read_samples(path)
     assert [s.to_record() for s in back] == [s.to_record() for s in samples]
     assert len(path.read_text().splitlines()) == 8
-    # zero samples are an empty file
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    assert read_samples(empty) == []
 
 
 @pytest.mark.parametrize("preset", ["default", "properties"])
@@ -170,6 +166,12 @@ def test_shallow_record_encodes_like_asdict(preset):
         line = encode_record(record)
         assert line == json.dumps(record, sort_keys=True) + "\n"
         assert encode_record(Sample.from_record(json.loads(line)).to_record()) == line
+
+
+def test_write_zero_samples(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("", encoding="utf-8")
+    assert read_samples(path) == []
 
 
 def test_read_failure_carries_path_context(tmp_path):
