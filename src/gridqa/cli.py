@@ -73,21 +73,16 @@ def split_of(config: GenConfig, index: int) -> str:
     return "test"
 
 
-def generate_sample(
-    config: GenConfig, index: int, config_digest: str | None = None, pools: ScenePools | None = None
-) -> Sample:
+def generate_sample(config: GenConfig, index: int, config_digest: str, pools: ScenePools) -> Sample:
     """Run the full pipeline for one sample index.
 
     Every random draw derives from (config.seed, index, scene attempt),
     so any index regenerates independently of the rest of the run.
-    config_digest is config.digest() and pools ScenePools.from_config(config),
-    each computed here when not given; a run passes the ones it computed at its
-    start, so all its records carry one digest and draw from one set of pools.
+    The caller validates config and supplies config_digest
+    (config.digest()) and pools (ScenePools.from_config(config)),
+    computed once at the start of its run, so all the run's records
+    carry one digest and draw from one set of pools.
     """
-    if config_digest is None:
-        config_digest = config.digest()
-    if pools is None:
-        pools = ScenePools.from_config(config)
     for attempt in range(config.scene_retries):
         sample_seed = _derive_seed(config.seed, index, attempt, b"scene")
         rng = random.Random(sample_seed)
@@ -338,10 +333,16 @@ def format_dump(sample: Sample) -> str:
 
 
 def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[str]:
-    """Integrity checks for every record; returns a list of problems."""
+    """Integrity checks for every record; returns a list of problems.
+
+    With a config, checked before any record is read (ConfigError),
+    each record must also equal its regeneration.
+    """
+    if config is not None:
+        config.validate()
+        config_digest = config.digest()
+        pools = ScenePools.from_config(config)
     problems = []
-    config_digest = config.digest() if config is not None else None
-    pools = ScenePools.from_config(config) if config is not None else None
     for sample in read_samples(path):
         label = f"sample {sample.sample_id}"
         if sample.format_version != 1:

@@ -9,12 +9,9 @@ names. Unknown keys are rejected so typos surface early.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-
-POOL_DIR_ENV = "GRIDQA_POOL_DIR"
 
 
 class ConfigError(ValueError):
@@ -55,9 +52,9 @@ class GenConfig:
     scene_retries: int = 50
 
     @classmethod
-    def properties_mode(cls, **overrides) -> "GenConfig":
+    def properties_mode(cls) -> "GenConfig":
         """Single-snapshot, zero-step setup for property-only queries."""
-        base = dict(
+        return cls(
             world_steps=0,
             n_snapshots=1,
             weight_property=1.0,
@@ -65,8 +62,6 @@ class GenConfig:
             weight_geometric=0.0,
             command_prob=0.0,
         )
-        base.update(overrides)
-        return cls(**base)
 
     @property
     def class_weights(self) -> dict[str, float]:
@@ -178,17 +173,8 @@ def _parse_value(key: str, raw: str):
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
     if ftype == "str | None":
-        return _resolve_pool_path(raw) if raw else None
+        return str(Path(raw)) if raw else None
     return raw
-
-
-def _resolve_pool_path(raw: str) -> str:
-    path = Path(raw)
-    if not path.is_absolute():
-        pool_dir = os.environ.get(POOL_DIR_ENV)
-        if pool_dir and (Path(pool_dir) / path).exists():
-            return str(Path(pool_dir) / path)
-    return str(path)
 
 
 def _read_pair(pair: str, where: str) -> tuple[str, object]:

@@ -43,10 +43,6 @@ class InvalidTaskError(ValueError):
     """Task parameters do not type-check or reference missing objects."""
 
 
-class InvalidScheduleError(ValueError):
-    """Snapshot count incompatible with the step count."""
-
-
 @dataclass
 class Task:
     """One scripted agent command, active on [start_step, start_step + duration)."""
@@ -86,15 +82,11 @@ class Task:
 
 
 def schedule_snapshots(total_steps: int, n_snapshots: int) -> list[int]:
-    """Evenly spaced snapshot step indices, always including 0 and total_steps."""
-    if n_snapshots < 1:
-        raise InvalidScheduleError("need at least one snapshot")
-    if total_steps < 0:
-        raise InvalidScheduleError("total_steps must be >= 0")
-    if n_snapshots > total_steps + 1:
-        raise InvalidScheduleError(
-            f"{n_snapshots} snapshots do not fit in {total_steps} steps"
-        )
+    """Evenly spaced snapshot step indices, always including 0 and total_steps.
+
+    The caller supplies counts GenConfig.validate() accepts: at least one
+    snapshot, at most total_steps + 1 of them.
+    """
     if n_snapshots == 1:
         return [0]
     return [round(i * total_steps / (n_snapshots - 1)) for i in range(n_snapshots)]
@@ -149,10 +141,7 @@ def _apply_task_step(world: WorldState, task: Task, is_final: bool, walkers: dic
 
 
 def step_world(
-    world: WorldState,
-    n_steps: int,
-    task: Task | None = None,
-    rng: random.Random | None = None,
+    world: WorldState, n_steps: int, task: Task | None, rng: random.Random
 ) -> WorldState:
     """Advance the world n_steps steps, running the task where scheduled.
 
@@ -173,7 +162,6 @@ def step_world(
         known = {e.memid for e in world.entities} | {b.memid for b in world.block_objects}
         if target not in known and not task._done:
             raise InvalidTaskError(f"task target {memid_hex(target)} not in world")
-    rng = rng or random.Random(0)
     npcs = world.npcs()
     # [x, y, z, last dx, last dz] per NPC; last dx stays None until it moves
     walkers = {npc.memid: [*npc.pose.position, None, 0.0] for npc in npcs}
@@ -295,7 +283,7 @@ def sample_task(world: WorldState, total_steps: int, config, rng: random.Random)
     return Task("follow", {"target_memid": target.memid}, duration=duration, start_step=start)
 
 
-def run_episode(config, rng: random.Random, pools=None):
+def run_episode(config, rng: random.Random, pools: scenegen.ScenePools):
     """Build a scene from pools and step it through its snapshot schedule.
 
     Returns (world, snapshots): the final world state (holding the

@@ -43,7 +43,11 @@ class UnanswerableQueryError(RuntimeError):
 
 
 class AmbiguousTieError(RuntimeError):
-    """Top two argmax scores are closer than the tie margin."""
+    """Top two argmax scores are closer than TIE_MARGIN."""
+
+
+# an argmax winner must lead its runner-up by at least this much
+TIE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,13 +82,12 @@ def _frame_owner(frame: str, snapshot: Snapshot) -> Entity:
     return resolve_ref({"by": "me" if frame == "my" else "you"}, snapshot)
 
 
-def _argmax(scores: dict[int, float], tie_margin: float | None) -> int:
+def _argmax(scores: dict[int, float]) -> int:
     if not scores:
         raise UnanswerableQueryError("empty argmax domain")
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], memid_hex(kv[0])))
-    if tie_margin is not None and len(ranked) >= 2:
-        if ranked[0][1] - ranked[1][1] < tie_margin:
-            raise AmbiguousTieError("argmax winner within tie margin of runner-up")
+    ranked = sorted(scores.items(), key=lambda kv: -kv[1])
+    if len(ranked) >= 2 and ranked[0][1] - ranked[1][1] < TIE_MARGIN:
+        raise AmbiguousTieError("argmax winner within tie margin of runner-up")
     return ranked[0][0]
 
 
@@ -105,7 +108,7 @@ def _dot(a: Vec3, b: Vec3) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-# --- clause evaluation: every evaluator takes (args, snapshots, action_log, tie_margin)
+# --- clause evaluation: every evaluator takes (args, snapshots, action_log)
 
 
 def _triples_matching(snapshot: Snapshot, predicates, word: str) -> tuple[set[int], set[int]]:
@@ -135,36 +138,36 @@ def _side_scores(args: dict, snapshot: Snapshot) -> tuple[Entity, dict[int, floa
     return owner, scores
 
 
-def eval_name(args, snapshots, action_log, tie_margin):
+def eval_name(args, snapshots, action_log):
     return _triples_matching(snapshots[-1], ("has_name",), args["name"])
 
 
-def eval_tag(args, snapshots, action_log, tie_margin):
+def eval_tag(args, snapshots, action_log):
     return _triples_matching(snapshots[-1], PROPERTY_PREDICATES, args["tag"])
 
 
-def eval_absolute_cardinal(args, snapshots, action_log, tie_margin):
+def eval_absolute_cardinal(args, snapshots, action_log):
     index = "xyz".index(args["axis"])
     return _threshold_filter(snapshots[-1], lambda obj: object_position(obj)[index], args)
 
 
-def eval_absolute_distance(args, snapshots, action_log, tie_margin):
+def eval_absolute_distance(args, snapshots, action_log):
     point = tuple(args["point"])
     return _threshold_filter(snapshots[-1], lambda obj: distance_to_point(obj, point), args)
 
 
-def eval_direction(args, snapshots, action_log, tie_margin):
+def eval_direction(args, snapshots, action_log):
     _, scores = _side_scores(args, snapshots[-1])
     return {m for m, score in scores.items() if score > 0.0}, set()
 
 
-def eval_max_direction(args, snapshots, action_log, tie_margin):
+def eval_max_direction(args, snapshots, action_log):
     owner, scores = _side_scores(args, snapshots[-1])
     scores.pop(owner.memid, None)
-    return {_argmax(scores, tie_margin)}, set()
+    return {_argmax(scores)}, set()
 
 
-def eval_closest_object(args, snapshots, action_log, tie_margin):
+def eval_closest_object(args, snapshots, action_log):
     snapshot = snapshots[-1]
     anchor = resolve_ref(args["anchor"], snapshot)
     scores = {
@@ -172,40 +175,40 @@ def eval_closest_object(args, snapshots, action_log, tie_margin):
         for obj in snapshot.reference_objects
         if obj.memid != anchor.memid
     }
-    return {_argmax(scores, tie_margin)}, set()
+    return {_argmax(scores)}, set()
 
 
-def eval_farthest_moved(args, snapshots, action_log, tie_margin):
+def eval_farthest_moved(args, snapshots, action_log):
     scores = {m: math.hypot(*d) for m, d in _movement_deltas(snapshots).items()}
-    return {_argmax(scores, tie_margin)}, set()
+    return {_argmax(scores)}, set()
 
 
-def eval_temporal_cardinal(args, snapshots, action_log, tie_margin):
+def eval_temporal_cardinal(args, snapshots, action_log):
     index = "xyz".index(args["axis"])
     scores = {m: d[index] for m, d in _movement_deltas(snapshots).items()}
-    return {_argmax(scores, tie_margin)}, set()
+    return {_argmax(scores)}, set()
 
 
-def eval_temporal_relative(args, snapshots, action_log, tie_margin):
+def eval_temporal_relative(args, snapshots, action_log):
     owner = _frame_owner(args["frame"], snapshots[-1])
     direction = horizontal_direction(owner.pose, args["side"])
     deltas = _movement_deltas(snapshots)
     scores = {m: _dot(d, direction) for m, d in deltas.items() if m != owner.memid}
-    return {_argmax(scores, tie_margin)}, set()
+    return {_argmax(scores)}, set()
 
 
-def eval_location_at_time(args, snapshots, action_log, tie_margin):
+def eval_location_at_time(args, snapshots, action_log):
     snapshot = snapshots[0] if args["time"] == "beginning" else snapshots[-1]
     entity = resolve_ref(args["ref"], snapshot)
     return entity.pose.position, (entity.memid,)
 
 
-def eval_action(args, snapshots, action_log, tie_margin):
+def eval_action(args, snapshots, action_log):
     value = action_log[-1].action_name if action_log else "nothing"
     return value, (_frame_owner("your", snapshots[-1]).memid,)
 
 
-def eval_object_tracking(args, snapshots, action_log, tie_margin):
+def eval_object_tracking(args, snapshots, action_log):
     last = snapshots[-1]
     obj = resolve_ref(args["ref"], last)
     speaker = _frame_owner("my", last)
@@ -215,13 +218,13 @@ def eval_object_tracking(args, snapshots, action_log, tie_margin):
     return moved, (obj.memid, speaker.memid)
 
 
-def eval_distance_between(args, snapshots, action_log, tie_margin):
+def eval_distance_between(args, snapshots, action_log):
     a = resolve_ref(args["a"], snapshots[-1])
     b = resolve_ref(args["b"], snapshots[-1])
     return math.dist(a.pose.position, b.pose.position), (a.memid, b.memid)
 
 
-def eval_distance_from_position(args, snapshots, action_log, tie_margin):
+def eval_distance_from_position(args, snapshots, action_log):
     owner = _frame_owner(args["frame"], snapshots[-1])
     direction = horizontal_direction(owner.pose, args["side"])
     steps = args["steps"]
@@ -230,14 +233,9 @@ def eval_distance_from_position(args, snapshots, action_log, tie_margin):
     return moved, (owner.memid,)
 
 
-def clause_match_set(
-    clause: Clause,
-    snapshots: list[Snapshot],
-    action_log=(),
-    tie_margin: float | None = None,
-):
+def clause_match_set(clause: Clause, snapshots: list[Snapshot], action_log=()):
     """Evaluate one clause, ignoring its negation, with its kind's evaluator."""
-    return clause.spec.evaluate(clause.args, snapshots, action_log, tie_margin)
+    return clause.spec.evaluate(clause.args, snapshots, action_log)
 
 
 # --- answer assembly ----------------------------------------------------------
@@ -265,24 +263,19 @@ def format_answer(value, return_type: str) -> str:
     raise ValueError(f"unknown return type {return_type!r}")
 
 
-def execute(
-    form: QueryForm,
-    snapshots: list[Snapshot],
-    action_log=(),
-    tie_margin: float | None = None,
-) -> Answer:
+def execute(form: QueryForm, snapshots: list[Snapshot], action_log=()) -> Answer:
     """Execute a query form, returning answer text and relevant memids.
 
     Raises UnanswerableQueryError when a non-count query has an empty
     answer (the sampler prevents such forms from being emitted), and
-    AmbiguousTieError when tie_margin is set and an argmax is too close
-    to call.
+    AmbiguousTieError when an argmax winner leads its runner-up by less
+    than TIE_MARGIN.
     """
     if not snapshots:
         raise ValueError("need at least one snapshot")
     first = form.clauses[0]
     if first.spec.returns:
-        value, operands = clause_match_set(first, snapshots, action_log, tie_margin)
+        value, operands = clause_match_set(first, snapshots, action_log)
         text = format_answer(value, form.return_type)
         return Answer(text, tuple(sorted(memid_hex(m) for m in operands)))
 
@@ -290,7 +283,7 @@ def execute(
     result: set[int] | None = None
     matched_triples: set[int] = set()
     for clause in form.clauses:
-        memids, t_ids = clause_match_set(clause, snapshots, action_log, tie_margin)
+        memids, t_ids = clause_match_set(clause, snapshots, action_log)
         if clause.negated:
             memids = last.memids() - memids
             t_ids = set()

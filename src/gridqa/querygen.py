@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import oracle
+from .oracle import TIE_MARGIN
 from .worldcore import PROPERTY_PREDICATES, Snapshot, object_position
 
 if TYPE_CHECKING:
@@ -30,8 +31,6 @@ SIDES = ("left", "right", "front", "back")
 FRAMES = ("my", "your")
 COMPARATORS = ("less", "greater")
 TIMES = ("beginning", "now")
-
-TIE_MARGIN = 1e-6
 
 
 class QueryFormError(ValueError):
@@ -580,7 +579,7 @@ def sample_query(
         # valid by construction: only combinable kinds negate or pair up
         form = QueryForm(clauses=tuple(clauses), return_type=return_type, op=op)
         try:
-            answer = oracle.execute(form, snapshots, action_log, tie_margin=TIE_MARGIN)
+            answer = oracle.execute(form, snapshots, action_log)
         except (oracle.UnanswerableQueryError, oracle.AmbiguousTieError):
             continue
         return form, render_text(form), answer

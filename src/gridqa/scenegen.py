@@ -251,9 +251,8 @@ class ScenePools:
     """Word pools the scene builder draws from."""
 
     names: tuple[str, ...]
-    npc_types: tuple[str, ...] = NPC_TYPES
-    colors: tuple[str, ...] = COLORS
-    shapes: tuple[str, ...] = SHAPES
+    npc_types: tuple[str, ...]
+    colors: tuple[str, ...]
 
     @classmethod
     def from_config(cls, config: "GenConfig") -> "ScenePools":
@@ -362,26 +361,18 @@ def _place_block(
     )
 
 
-def build_scene(
-    config: "GenConfig", rng: random.Random, pools: ScenePools | None = None
-) -> WorldState:
+def build_scene(config: "GenConfig", rng: random.Random, pools: ScenePools) -> WorldState:
     """Build a fresh world: agent, player, NPCs and block objects.
 
-    Pure in (config, pools, rng state); pools are read from config when
-    not given. Raises ConfigError for an invalid config, and
+    Pure in (config, pools, rng state). The caller validates config and
+    reads pools with ScenePools.from_config, once per run. Raises
     SceneCapacityError when the world is too small to place everything
     within bounded retries.
     """
-    config.validate()
-    if pools is None:
-        pools = ScenePools.from_config(config)
-    if config.n_npcs + 2 > len(pools.names):
-        raise SceneCapacityError("name pool too small for requested entity count")
-
     world = WorldState(world_size=config.world_size, seed=rng.getrandbits(63))
 
     n_blocks = rng.randint(config.n_blocks_min, config.n_blocks_max)
-    block_specs = [rng.choice(pools.shapes) for _ in range(n_blocks)]
+    block_specs = [rng.choice(SHAPES) for _ in range(n_blocks)]
     block_cells: set[Cell] = set()
     placed = []
     for shape in block_specs:

@@ -12,6 +12,7 @@ from gridqa.querygen import (
     QueryForm,
     allowed_return_types,
 )
+from gridqa.scenegen import ScenePools
 from gridqa.worldcore import AGENT, NPC, PLAYER, BlockObject, Pose, WorldState, take_snapshot
 
 try:
@@ -31,11 +32,18 @@ def default_config():
     return GenConfig()
 
 
+def pools_for(config: GenConfig) -> ScenePools:
+    """What a run's entry point does before its first sample: validate the
+    config, then read its pools. The stages below take the pools as given."""
+    config.validate()
+    return ScenePools.from_config(config)
+
+
 def make_episode(seed: int, config: GenConfig | None = None):
     """Scene + stepped snapshots for oracle-level tests."""
     config = config or GenConfig()
     rng = random.Random(seed)
-    world, snapshots = run_episode(config, rng)
+    world, snapshots = run_episode(config, rng, pools_for(config))
     return world, snapshots
 
 

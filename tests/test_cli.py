@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import pools_for
 from gridqa import cli
 from gridqa.cli import (
     AlignmentError,
@@ -172,7 +173,7 @@ def test_a_run_hashes_its_pool_file_once(tmp_path, monkeypatch):
     assert validate_dataset(out / "train.jsonl", config) == []
     assert len(hashed) == 1
     # a single index still regenerates on its own
-    assert generate_sample(config, 3).to_record() == records[3]
+    assert generate_sample(config, 3, config.digest(), pools_for(config)).to_record() == records[3]
 
 
 def test_a_run_reads_each_pool_file_once(tmp_path, monkeypatch):
@@ -224,7 +225,7 @@ def test_subset_regeneration_matches_full_run(tmp_path):
     generate(config)
     records = read_all_records(Path(config.out_dir))
     for index in (0, 7, 13, 29):
-        regenerated = generate_sample(config, index)
+        regenerated = generate_sample(config, index, config.digest(), pools_for(config))
         assert regenerated.to_record() == records[index]
 
 
@@ -436,7 +437,7 @@ def test_inspect_dump_contains_query_and_seed(tmp_path):
     config = small_config(tmp_path, n_samples=5)
     generate(config)
     records = read_all_records(Path(config.out_dir))
-    sample = generate_sample(config, 2)
+    sample = generate_sample(config, 2, config.digest(), pools_for(config))
     dump = format_dump(sample)
     assert sample.query_text in dump
     assert str(sample.generation_metadata["sample_seed"]) in dump
@@ -470,6 +471,14 @@ def test_validate_with_the_generating_config_file(tmp_path, capsys):
     code = main(["validate", "--dataset", str(out / "train.jsonl"), "--config", str(out / "config.cfg")])
     assert capsys.readouterr().err == ""
     assert code == 0
+
+
+def test_validate_checks_the_config_before_any_record(tmp_path, capsys):
+    dataset, config = tmp_path / "train.jsonl", tmp_path / "bad.cfg"
+    dataset.write_text("", encoding="utf-8")
+    config.write_text("world_size = 2\n", encoding="utf-8")
+    assert main(["validate", "--dataset", str(dataset), "--config", str(config)]) == 1
+    assert "world_size" in capsys.readouterr().err
 
 
 def test_validate_flags_tampered_records(tmp_path):

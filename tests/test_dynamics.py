@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from conftest import make_episode, minimal_world, simple_world
+from conftest import make_episode, minimal_world, pools_for, simple_world
 from gridqa import GenConfig
 from gridqa import scenegen
+from gridqa.config import ConfigError
 from gridqa.dynamics import (
     FOLLOW_SPEED,
     MOVE_SPEED,
     NPC_MAX_STEP,
     NPC_MOVE_PROB,
-    InvalidScheduleError,
     InvalidTaskError,
     Task,
     _heading_yaw,
@@ -43,12 +43,13 @@ def test_schedule_endpoints_and_spacing():
 
 
 def test_schedule_rejects_impossible_counts():
-    with pytest.raises(InvalidScheduleError):
-        schedule_snapshots(3, 5)
-    with pytest.raises(InvalidScheduleError):
-        schedule_snapshots(5, 0)
-    with pytest.raises(InvalidScheduleError):
-        schedule_snapshots(-1, 1)
+    # a run's config check refuses the counts schedule_snapshots cannot lay out
+    with pytest.raises(ConfigError, match="n_snapshots"):
+        GenConfig(world_steps=3, n_snapshots=5).validate()
+    with pytest.raises(ConfigError, match="n_snapshots"):
+        GenConfig(n_snapshots=0).validate()
+    with pytest.raises(ConfigError, match="world_steps"):
+        GenConfig(world_steps=-1, n_snapshots=1).validate()
 
 
 def test_schedule_indices_strictly_increase():
@@ -62,7 +63,7 @@ def test_schedule_indices_strictly_increase():
 
 
 def test_zero_steps_changes_nothing():
-    world = build_scene(GenConfig(), random.Random(4))
+    world = build_scene(GenConfig(), random.Random(4), pools_for(GenConfig()))
     before = take_snapshot(world, 0)
     step_world(world, 0, None, random.Random(1))
     after = take_snapshot(world, 1)
@@ -132,7 +133,7 @@ def test_destroy_requires_existing_target():
 
 def test_follow_closes_distance():
     config = GenConfig(n_blocks_min=0, n_blocks_max=0)
-    world = build_scene(config, random.Random(21))
+    world = build_scene(config, random.Random(21), pools_for(config))
     target = world.npcs()[0]
     task = Task("follow", {"target_memid": target.memid}, duration=40, start_step=0)
     rng = random.Random(5)
@@ -146,7 +147,7 @@ def test_follow_closes_distance():
 
 
 def test_npc_walk_preserves_counts_names_triples():
-    world = build_scene(GenConfig(), random.Random(9))
+    world = build_scene(GenConfig(), random.Random(9), pools_for(GenConfig()))
     names_before = sorted(e.name for e in world.entities)
     triples_before = sorted((t.subject_memid, t.predicate, t.object_text) for t in world.triples)
     n_blocks_before = len(world.block_objects)
@@ -163,7 +164,7 @@ def test_npc_walk_preserves_counts_names_triples():
 
 def test_stepping_is_deterministic():
     def run():
-        world = build_scene(GenConfig(), random.Random(31))
+        world = build_scene(GenConfig(), random.Random(31), pools_for(GenConfig()))
         task = sample_task(world, 50, GenConfig(), random.Random(32))
         step_world(world, 50, task, random.Random(33))
         return take_snapshot(world, 50)
@@ -303,7 +304,7 @@ def _twin_worlds(seed, make_task):
     """Two equal scenes with equal tasks and equal, separately owned RNGs."""
     twins = []
     for _ in range(2):
-        world = build_scene(GenConfig(), random.Random(seed))
+        world = build_scene(GenConfig(), random.Random(seed), pools_for(GenConfig()))
         twins.append((world, make_task(world, random.Random(seed + 1)), random.Random(seed + 2)))
     return twins
 

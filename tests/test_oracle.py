@@ -18,7 +18,6 @@ from gridqa.oracle import (
 )
 from gridqa.querygen import (
     KINDS,
-    TIE_MARGIN,
     Clause,
     QueryForm,
     UnanswerableSceneError,
@@ -318,9 +317,40 @@ def test_tie_margin_rejects_close_argmax():
     snap = take_snapshot(world, 0)
     clause = Clause("closest_object", False, {"anchor": {"by": "me"}})
     with pytest.raises(AmbiguousTieError):
-        clause_match_set(clause, [snap], tie_margin=1e-6)
-    # without a margin the winner is still deterministic
-    assert clause_match_set(clause, [snap]) == clause_match_set(clause, [snap])
+        clause_match_set(clause, [snap])
+
+
+# arguments under which each argmax kind scores the two walkers of tie_world equally
+ARGMAX_TIES = {
+    "temporal_cardinal": {"axis": "z"},
+    "temporal_relative": {"frame": "my", "side": "front"},
+    "farthest_moved": {},
+    "closest_object": {"anchor": {"by": "me"}},
+    "max_direction": {"frame": "my", "side": "front"},
+}
+
+
+def tie_world():
+    """Two walkers mirrored about the speaker's x, both stepping +1 z."""
+    world = simple_world(
+        [
+            (PLAYER, "sara", "white", Pose(7.0, 0.0, 7.0, yaw=0.0)),
+            (AGENT, "igor", "pink", Pose(7.0, 0.0, 2.0)),
+            (NPC, "twin_a", "brown", Pose(9.0, 0.0, 8.0), "cow"),
+            (NPC, "twin_b", "black", Pose(5.0, 0.0, 8.0), "pig"),
+        ]
+    )
+    first = take_snapshot(world, 0)
+    for npc in world.npcs():
+        x, y, z = npc.pose.position
+        npc.pose = Pose(x, y, z + 1.0)
+    return [first, take_snapshot(world, 1)]
+
+
+@pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if spec.argmax])
+def test_every_argmax_kind_rejects_an_exact_tie(kind):
+    with pytest.raises(AmbiguousTieError):
+        execute(form1(kind, ARGMAX_TIES[kind], "name"), tie_world())
 
 
 def test_unanswerable_name_raises():
@@ -386,7 +416,7 @@ def test_every_kind_agrees_with_the_reference_oracle(kind):
                 tried.add((negated, return_type))
                 form = QueryForm(clauses=clauses, return_type=return_type)
                 try:
-                    fast = execute(form, snapshots, world.action_log, TIE_MARGIN).text
+                    fast = execute(form, snapshots, world.action_log).text
                 except (UnanswerableQueryError, AmbiguousTieError):
                     continue
                 answered[negated, return_type] += 1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import pools_for
 from gridqa import GenConfig
 from gridqa import scenegen
 from gridqa.dynamics import run_episode
@@ -121,7 +122,7 @@ def test_shape_param_draws_are_pinned():
 
 def test_default_scene_composition():
     config = GenConfig()
-    world = build_scene(config, random.Random(11))
+    world = build_scene(config, random.Random(11), pools_for(config))
     assert world.world_size == 15
     assert len([e for e in world.entities if e.kind == "agent"]) == 1
     assert len([e for e in world.entities if e.kind == "player"]) == 1
@@ -133,15 +134,15 @@ def test_default_scene_composition():
 
 def test_empty_scene_is_agent_plus_player():
     config = GenConfig(n_npcs=0, n_blocks_min=0, n_blocks_max=0)
-    world = build_scene(config, random.Random(2))
+    world = build_scene(config, random.Random(2), pools_for(config))
     assert len(world.entities) == 2
     assert not world.block_objects
 
 
 def test_same_seed_same_world():
     config = GenConfig()
-    world_a = build_scene(config, random.Random(123))
-    world_b = build_scene(config, random.Random(123))
+    world_a = build_scene(config, random.Random(123), pools_for(config))
+    world_b = build_scene(config, random.Random(123), pools_for(config))
     ctx_a = render_relational_context([take_snapshot(world_a, 0)])
     ctx_b = render_relational_context([take_snapshot(world_b, 0)])
     assert ctx_a == ctx_b
@@ -149,7 +150,7 @@ def test_same_seed_same_world():
 
 def test_entities_never_inside_blocks_or_shared_cells():
     for seed in range(25):
-        world = build_scene(GenConfig(), random.Random(seed))
+        world = build_scene(GenConfig(), random.Random(seed), pools_for(GenConfig()))
         blocked = set()
         for block in world.block_objects:
             blocked |= set(block.voxels)
@@ -163,7 +164,7 @@ def test_entities_never_inside_blocks_or_shared_cells():
 
 def test_everything_in_bounds():
     for seed in range(10):
-        world = build_scene(GenConfig(), random.Random(seed))
+        world = build_scene(GenConfig(), random.Random(seed), pools_for(GenConfig()))
         for e in world.entities:
             assert all(0.0 <= c < world.world_size for c in e.pose.position)
         for b in world.block_objects:
@@ -172,8 +173,9 @@ def test_everything_in_bounds():
 
 def test_capacity_error_when_world_too_small():
     config = GenConfig(world_size=4, n_npcs=200, n_blocks_min=0, n_blocks_max=0)
+    pools = pools_for(config)
     with pytest.raises(SceneCapacityError):
-        build_scene(config, random.Random(0))
+        build_scene(config, random.Random(0), pools)
 
 
 def test_default_pools():
@@ -183,7 +185,7 @@ def test_default_pools():
     assert len(set(pools.names)) == 254
     assert set(pools.npc_types) == {"cow", "pig", "rabbit", "chicken", "sheep"}
     assert set(pools.colors) == {"brown", "white", "black", "mottled", "pink", "yellow"}
-    assert len(pools.shapes) == 19
+    assert len(SHAPES) == 19
 
 
 def test_default_names_is_read_once():
@@ -195,7 +197,7 @@ def test_pool_overrides(tmp_path):
     names = tmp_path / "names.txt"
     names.write_text("ada\ngrace\nkatherine\n", encoding="utf-8")
     config = GenConfig(names_file=str(names), n_npcs=1, n_blocks_min=0, n_blocks_max=0)
-    world = build_scene(config, random.Random(0))
+    world = build_scene(config, random.Random(0), pools_for(config))
     assert {e.name for e in world.entities} <= {"ada", "grace", "katherine"}
     assert ScenePools.from_config(config).names == ("ada", "grace", "katherine")
     names.write_text("hedy\nlinus\nalan\n", encoding="utf-8")
@@ -203,7 +205,7 @@ def test_pool_overrides(tmp_path):
 
 
 def test_npc_colors_and_types_from_pools():
-    world = build_scene(GenConfig(), random.Random(77))
+    world = build_scene(GenConfig(), random.Random(77), pools_for(GenConfig()))
     for npc in world.npcs():
         assert npc.npc_type in NPC_TYPES
         assert npc.color in COLORS
@@ -336,7 +338,7 @@ def test_shape_caches_stay_bounded():
     for size in (8, 15):
         config = GenConfig(world_size=size, command_prob=1.0, world_steps=6)
         for seed in range(300):
-            run_episode(config, random.Random(seed))
+            run_episode(config, random.Random(seed), pools_for(config))
     assert scenegen._template.cache_info().currsize <= distinct
     assert scenegen._placement.cache_info().currsize <= 2 * distinct
 

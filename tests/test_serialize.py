@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import make_episode, minimal_world, simple_world, snapshot_blocks
+from conftest import make_episode, minimal_world, pools_for, simple_world, snapshot_blocks
 from gridqa import GenConfig
 from gridqa.cli import generate_sample
 from gridqa.serialize import (
@@ -145,7 +145,7 @@ def test_text_and_relational_agree_on_words_and_coordinates():
 
 def test_write_and_read_samples_round_trip(tmp_path):
     config = GenConfig()
-    samples = [generate_sample(config, i) for i in range(8)]
+    samples = [generate_sample(config, i, config.digest(), pools_for(config)) for i in range(8)]
     path = tmp_path / "out.jsonl"
     path.write_text("".join(encode_record(s.to_record()) for s in samples), encoding="utf-8")
     back = read_samples(path)
@@ -157,7 +157,7 @@ def test_write_and_read_samples_round_trip(tmp_path):
 def test_shallow_record_encodes_like_asdict(preset):
     config = GenConfig.properties_mode() if preset == "properties" else GenConfig()
     for index in range(20):
-        sample = generate_sample(config, index)
+        sample = generate_sample(config, index, config.digest(), pools_for(config))
         record = sample.to_record()
         assert json.dumps(record, sort_keys=True) == json.dumps(
             dataclasses.asdict(sample), sort_keys=True
@@ -184,14 +184,14 @@ def test_read_failure_carries_path_context(tmp_path):
 def test_answer_memids_subset_of_relational_ids():
     config = GenConfig()
     for i in range(10):
-        sample = generate_sample(config, i)
+        sample = generate_sample(config, i, config.digest(), pools_for(config))
         assert set(sample.answer_memids) <= relational_ids(sample.context_relational)
 
 
 def test_action_names_never_in_context():
     config = GenConfig(command_prob=1.0)
     for i in range(10):
-        sample = generate_sample(config, i)
+        sample = generate_sample(config, i, config.digest(), pools_for(config))
         log = sample.generation_metadata["action_log"]
         assert log, "expected a command this episode"
         action = log[-1]["action"]
@@ -256,7 +256,7 @@ def test_relational_render_matches_the_plain_render_for_every_task_kind():
     per_kind = dict.fromkeys(TASK_KINDS, 0)
     seed = 0
     while min(per_kind.values()) < 200:
-        world, snapshots = run_episode(config, random.Random(seed))
+        world, snapshots = run_episode(config, random.Random(seed), pools_for(config))
         seed += 1
         kind = world.action_log[0].action_name if world.action_log else None
         if kind is None or per_kind[kind] >= 200:
