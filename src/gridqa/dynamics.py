@@ -17,18 +17,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .worldcore import (
-    ActionRecord,
-    Entity,
-    Pose,
-    UnknownMemidError,
-    Vec3,
-    WorldState,
-    memid_hex,
-)
-from . import scenegen
+from .worldcore import ActionRecord, Entity, Pose, Vec3, WorldState, memid_hex
+from . import scenegen, worldcore
 
 TASK_KINDS = ("move", "build", "destroy", "dig", "follow")
 
@@ -39,35 +31,19 @@ NPC_MAX_STEP = 0.5
 _FULL_TURN = 2.0 * math.pi
 
 
-class InvalidTaskError(ValueError):
-    """Task parameters do not type-check or reference missing objects."""
+class Task(NamedTuple):
+    """One scripted agent command, active on [start_step, start_step + duration).
 
-
-@dataclass
-class Task:
-    """One scripted agent command, active on [start_step, start_step + duration)."""
+    Tasks come from sample_task, which draws only well-formed ones: a
+    kind from TASK_KINDS with the parameters that kind uses, a duration
+    of at least 1 that ends within the episode, a follow target that is
+    an NPC and a destroy target that is a block of the world.
+    """
 
     kind: str
     parameters: dict
     duration: int
     start_step: int = 0
-    _done: bool = field(default=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise InvalidTaskError(f"unknown task kind {self.kind!r}")
-        if self.duration < 1:
-            raise InvalidTaskError("task duration must be >= 1")
-        required = {
-            "move": ("target",),
-            "build": ("shape", "shape_params", "origin", "color"),
-            "destroy": ("target_memid",),
-            "dig": ("size", "origin", "color"),
-            "follow": ("target_memid",),
-        }[self.kind]
-        missing = [k for k in required if k not in self.parameters]
-        if missing:
-            raise InvalidTaskError(f"{self.kind} task missing parameters {missing}")
 
     def log_parameters(self) -> dict:
         out = {}
@@ -115,15 +91,7 @@ def _apply_task_step(world: WorldState, task: Task, is_final: bool, walkers: dic
     if task.kind == "move":
         _step_towards(world, agent, tuple(params["target"]), MOVE_SPEED)
     elif task.kind == "follow":
-        walker = walkers.get(params["target_memid"])
-        if walker is not None:
-            target = walker[:3]
-        else:
-            try:
-                target = world.get_entity(params["target_memid"]).pose.position
-            except UnknownMemidError:
-                raise InvalidTaskError("follow target is not in the world") from None
-        _step_towards(world, agent, target, FOLLOW_SPEED)
+        _step_towards(world, agent, walkers[params["target_memid"]][:3], FOLLOW_SPEED)
     elif is_final:
         if task.kind == "build":
             voxels = scenegen.make_shape(
@@ -134,84 +102,74 @@ def _apply_task_step(world: WorldState, task: Task, is_final: bool, walkers: dic
             voxels = scenegen.make_shape("hole", {"size": params["size"]}, tuple(params["origin"]))
             world.add_block("hole", params["color"], voxels)
         elif task.kind == "destroy":
-            try:
-                world.remove_block(params["target_memid"])
-            except UnknownMemidError:
-                raise InvalidTaskError("destroy target is not in the world") from None
+            world.remove_block(params["target_memid"])
 
 
 def step_world(
     world: WorldState, n_steps: int, task: Task | None, rng: random.Random
 ) -> WorldState:
-    """Advance the world n_steps steps, running the task where scheduled.
+    """Advance the world n_steps >= 0 steps, running the task where scheduled.
 
+    The caller passes the task sample_task drew for this world, or None.
     Mutates and returns the same WorldState. The task's start_step is an
     absolute clock value, so stepping may be split into segments (for
     snapshotting) and the task still executes on its own interval.
 
     NPCs walk on plain floats for the whole call; each NPC that moved
     gets one new Pose at the end, facing the heading of its last move.
-    That also happens when a task step raises, so the NPCs stay where
-    their moves up to the failing step put them.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if task is not None and task.kind in ("destroy", "follow"):
-        # fail fast on dangling references
-        target = task.parameters["target_memid"]
-        known = {e.memid for e in world.entities} | {b.memid for b in world.block_objects}
-        if target not in known and not task._done:
-            raise InvalidTaskError(f"task target {memid_hex(target)} not in world")
     npcs = world.npcs()
     # [x, y, z, last dx, last dz] per NPC; last dx stays None until it moves
     walkers = {npc.memid: [*npc.pose.position, None, 0.0] for npc in npcs}
+    # without a task the interval [0, 0) holds no step
+    start, end = (task.start_step, task.start_step + task.duration) if task is not None else (0, 0)
     hi = world.world_size - 0.1
     draw, cos, sin = rng.random, math.cos, math.sin
-    try:
-        for _ in range(n_steps):
-            for s in walkers.values():
-                if draw() >= NPC_MOVE_PROB:
-                    continue
-                # rng.uniform(0, b) is 0.0 + b * random(): the same draws, inlined
-                angle = _FULL_TURN * draw()
-                length = NPC_MAX_STEP * draw()
-                dx = length * cos(angle)
-                dz = length * sin(angle)
-                x, y, z = s[0] + dx, s[1], s[2] + dz
-                # WorldState.clamp, inlined
-                s[0] = round((0.0 if x < 0.0 else hi if x > hi else x) * 10.0) / 10.0
-                s[1] = round((0.0 if y < 0.0 else hi if y > hi else y) * 10.0) / 10.0
-                s[2] = round((0.0 if z < 0.0 else hi if z > hi else z) * 10.0) / 10.0
-                s[3] = dx
-                s[4] = dz
-            if task is not None and not task._done:
-                end = task.start_step + task.duration
-                if task.start_step <= world.clock < end:
-                    is_final = world.clock == end - 1
-                    _apply_task_step(world, task, is_final, walkers)
-                    if is_final:
-                        task._done = True
-                        world.action_log.append(
-                            ActionRecord(
-                                actor_memid=world.agent().memid,
-                                action_name=task.kind,
-                                parameters=task.log_parameters(),
-                                step_interval=(task.start_step, end),
-                            )
-                        )
-            world.clock += 1
-    finally:
-        for npc, (x, y, z, dx, dz) in zip(npcs, walkers.values()):
-            if dx is not None:
-                npc.pose = Pose(x, y, z, npc.pose.pitch, _heading_yaw(dx, dz))
+    for _ in range(n_steps):
+        for s in walkers.values():
+            if draw() >= NPC_MOVE_PROB:
+                continue
+            # rng.uniform(0, b) is 0.0 + b * random(): the same draws, inlined
+            angle = _FULL_TURN * draw()
+            length = NPC_MAX_STEP * draw()
+            dx = length * cos(angle)
+            dz = length * sin(angle)
+            x, y, z = s[0] + dx, s[1], s[2] + dz
+            # WorldState.clamp, inlined
+            s[0] = round((0.0 if x < 0.0 else hi if x > hi else x) * 10.0) / 10.0
+            s[1] = round((0.0 if y < 0.0 else hi if y > hi else y) * 10.0) / 10.0
+            s[2] = round((0.0 if z < 0.0 else hi if z > hi else z) * 10.0) / 10.0
+            s[3] = dx
+            s[4] = dz
+        if start <= world.clock < end:
+            is_final = world.clock == end - 1
+            _apply_task_step(world, task, is_final, walkers)
+            if is_final:
+                world.action_log.append(
+                    ActionRecord(
+                        actor_memid=world.agent().memid,
+                        action_name=task.kind,
+                        parameters=task.log_parameters(),
+                        step_interval=(start, end),
+                    )
+                )
+        world.clock += 1
+    for npc, (x, y, z, dx, dz) in zip(npcs, walkers.values()):
+        if dx is not None:
+            npc.pose = Pose(x, y, z, npc.pose.pitch, _heading_yaw(dx, dz))
     return world
 
 
 # --- task sampling ----------------------------------------------------------
 
 
-def sample_task(world: WorldState, total_steps: int, config, rng: random.Random) -> Task | None:
-    """Draw at most one agent command for the episode, or None."""
+def sample_task(
+    world: WorldState, total_steps: int, config, rng: random.Random, pools: scenegen.ScenePools
+) -> Task | None:
+    """Draw at most one agent command for the episode, or None.
+
+    A built or dug block takes its colour from the run's colour pool.
+    """
     if total_steps < 1 or rng.random() >= config.command_prob:
         return None
     options = ["move", "build", "dig"]
@@ -257,7 +215,7 @@ def sample_task(world: WorldState, total_steps: int, config, rng: random.Random)
                 continue
             duration = max(1, min(len(voxels), total_steps))
             start = rng.randint(0, total_steps - duration)
-            color = rng.choice(scenegen.COLORS)
+            color = rng.choice(pools.colors)
             if kind == "dig":
                 task_params = {"size": params["size"], "origin": (ox, oy, oz), "color": color}
             else:
@@ -289,16 +247,14 @@ def run_episode(config, rng: random.Random, pools: scenegen.ScenePools):
     Returns (world, snapshots): the final world state (holding the
     action log) and the recorded snapshots in time order.
     """
-    from .scenegen import build_scene
-    from .worldcore import take_snapshot
-
-    world = build_scene(config, rng, pools)
+    # build_scene and take_snapshot are looked up through their modules so a tracer can wrap them
+    world = scenegen.build_scene(config, rng, pools)
     times = schedule_snapshots(config.world_steps, config.n_snapshots)
-    task = sample_task(world, config.world_steps, config, rng)
-    snapshots = [take_snapshot(world, 0)]
+    task = sample_task(world, config.world_steps, config, rng, pools)
+    snapshots = [worldcore.take_snapshot(world, 0)]
     current = 0
     for t in times[1:]:
         step_world(world, t - current, task, rng)
         current = t
-        snapshots.append(take_snapshot(world, t))
+        snapshots.append(worldcore.take_snapshot(world, t))
     return world, snapshots

@@ -71,10 +71,6 @@ class Clause:
             "args": self.args,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Clause":
-        return cls(kind=data["kind"], negated=data["negated"], args=dict(data["args"]))
-
 
 @dataclass(frozen=True)
 class QueryForm:
@@ -97,14 +93,6 @@ class QueryForm:
         else:
             root = {"op": self.op, "children": [c.to_dict() for c in self.clauses]}
         return {"return_type": self.return_type, "root": root}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QueryForm":
-        root = data["root"]
-        if "op" in root:
-            clauses = tuple(Clause.from_dict(c) for c in root["children"])
-            return cls(clauses=clauses, return_type=data["return_type"], op=root["op"])
-        return cls(clauses=(Clause.from_dict(root),), return_type=data["return_type"])
 
 
 def validate_form(form: QueryForm) -> None:

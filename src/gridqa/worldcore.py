@@ -283,23 +283,11 @@ class WorldState:
         return triple
 
     def remove_block(self, memid: int) -> None:
-        before = len(self.block_objects)
         self.block_objects = [b for b in self.block_objects if b.memid != memid]
-        if len(self.block_objects) == before:
-            raise UnknownMemidError(memid)
         self.triples = [t for t in self.triples if t.subject_memid != memid]
-
-    def get_entity(self, memid: int) -> Entity:
-        for e in self.entities:
-            if e.memid == memid:
-                return e
-        raise UnknownMemidError(memid)
 
     def agent(self) -> Entity:
         return next(e for e in self.entities if e.kind == AGENT)
-
-    def player(self) -> Entity:
-        return next(e for e in self.entities if e.kind == PLAYER)
 
     def npcs(self) -> list[Entity]:
         return [e for e in self.entities if e.kind == NPC]

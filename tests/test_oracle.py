@@ -104,10 +104,11 @@ def test_right_of_speaker_frame_convention():
 def test_direction_membership_excludes_frame_owner():
     world = fig_world()
     snap = take_snapshot(world, 0)
+    speaker = next(e for e in world.entities if e.kind == PLAYER)
     for side in ("left", "right", "front", "back"):
         clause = Clause("direction", False, {"frame": "my", "side": side})
         matched, _ = clause_match_set(clause, [snap])
-        assert world.player().memid not in matched
+        assert speaker.memid not in matched
 
 
 def test_left_right_antisymmetry_and_reflection():
@@ -185,8 +186,8 @@ def moved_world():
         ]
     )
     first = take_snapshot(world, 0)
-    world.get_entity(world.npcs()[1].memid).pose = Pose(2.0, 0.0, 1.0)  # walker: +1 x
-    world.get_entity(world.npcs()[2].memid).pose = Pose(2.0, 0.0, 5.0)  # runner: +3 z
+    world.npcs()[1].pose = Pose(2.0, 0.0, 1.0)  # walker: +1 x
+    world.npcs()[2].pose = Pose(2.0, 0.0, 5.0)  # runner: +3 z
     last = take_snapshot(world, 1)
     return world, [first, last]
 

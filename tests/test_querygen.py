@@ -21,6 +21,7 @@ from gridqa.querygen import (
     render_text,
     sample_query,
 )
+from gridqa.dynamics import TASK_KINDS
 from gridqa.scenegen import SHAPES
 
 STANDALONE_KINDS = frozenset(k for k, spec in KINDS.items() if not spec.combinable)
@@ -276,6 +277,13 @@ def test_format_md_shapes_table_names_exactly_the_catalog():
     rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| ")]
     assert rows[0] == "shape"
     assert sorted(rows[1:]) == sorted(SHAPES)
+
+
+def test_format_md_agent_tasks_table_names_exactly_the_task_kinds():
+    section = _format_md().split("\n### Agent tasks\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == "kind"
+    assert sorted(rows[1:]) == sorted(TASK_KINDS)
 
 
 def test_format_md_lists_every_template_and_head():
