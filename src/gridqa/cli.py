@@ -32,12 +32,13 @@ from .dynamics import run_episode
 from .querygen import UnanswerableSceneError, parse_form, sample_query
 from .scenegen import SceneCapacityError, ScenePools
 from .serialize import (
+    FORMAT_VERSION,
     DatasetIOError,
     Sample,
-    encode_record,
     read_jsonl,
     read_relational_context,
     read_samples,
+    record_line,
     relational_ids,
     render_relational_context,
     render_text_context,
@@ -73,15 +74,19 @@ def split_of(config: GenConfig, index: int) -> str:
     return "test"
 
 
-def generate_sample(config: GenConfig, index: int, config_digest: str, pools: ScenePools) -> Sample:
-    """Run the full pipeline for one sample index.
+def generate_sample(
+    config: GenConfig, index: int, config_digest: str, pools: ScenePools
+) -> tuple[int, str, str, int, str]:
+    """Run the full pipeline for one sample index; returns (index, query
+    class, return type, scene attempt, JSONL line).
 
     Every random draw derives from (config.seed, index, scene attempt),
     so any index regenerates independently of the rest of the run.
     The caller validates config and supplies config_digest
     (config.digest()) and pools (ScenePools.from_config(config)),
     computed once at the start of its run, so all the run's records
-    carry one digest and draw from one set of pools.
+    carry one digest and draw from one set of pools. A pool worker
+    returns the finished line, so the parent only writes it.
     """
     for attempt in range(config.scene_retries):
         sample_seed = _derive_seed(config.seed, index, attempt, b"scene")
@@ -94,46 +99,31 @@ def generate_sample(config: GenConfig, index: int, config_digest: str, pools: Sc
             form, query_text, answer = sample_query(snapshots, config, rng, world.action_log)
         except UnanswerableSceneError:
             continue
-        context_text = render_text_context(snapshots, rng)
-        context_relational = render_relational_context(snapshots)
-        return Sample(
-            sample_id=index,
-            query_class=form.query_class,
-            context_text=context_text,
-            context_relational=context_relational,
-            query_text=query_text,
-            query_logical_form=form.to_dict(),
-            answer_text=answer.text,
-            answer_memids=list(answer.relevant_memids),
-            generation_metadata={
-                "seed": config.seed,
-                "sample_index": index,
-                "sample_seed": sample_seed,
-                "scene_attempt": attempt,
-                "config_digest": config_digest,
-                "action_log": [rec.to_json() for rec in world.action_log],
-            },
+        logical_form = form.to_dict()
+        line = record_line(
+            {
+                "sample_id": index,
+                "query_class": form.query_class,
+                "context_text": render_text_context(snapshots, rng),
+                "context_relational": render_relational_context(snapshots),
+                "query_text": query_text,
+                "query_logical_form": logical_form,
+                "answer_text": answer.text,
+                "answer_memids": list(answer.relevant_memids),
+                "generation_metadata": {
+                    "seed": config.seed,
+                    "sample_index": index,
+                    "sample_seed": sample_seed,
+                    "scene_attempt": attempt,
+                    "config_digest": config_digest,
+                    "action_log": [rec.to_json() for rec in world.action_log],
+                },
+                "format_version": FORMAT_VERSION,
+            }
         )
+        return index, form.query_class, logical_form["return_type"], attempt, line
     raise GenerationCapacityError(
         f"sample {index}: no answerable scene in {config.scene_retries} retries"
-    )
-
-
-def _encoded_sample(
-    config: GenConfig, config_digest: str, pools: ScenePools, index: int
-) -> tuple[int, str, str, int, str]:
-    """(index, query class, return type, scene attempt, JSONL line) for one index.
-
-    Runs in the worker, so the parent receives a finished line instead of
-    a Sample to unpickle and encode.
-    """
-    sample = generate_sample(config, index, config_digest, pools)
-    return (
-        index,
-        sample.query_class,
-        sample.query_logical_form["return_type"],
-        sample.generation_metadata["scene_attempt"],
-        encode_record(sample.to_record()),
     )
 
 
@@ -224,7 +214,9 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
                 }
             except OSError as exc:
                 raise DatasetIOError(f"cannot open output files in {out_dir}: {exc}") from exc
-            work = partial(_encoded_sample, config, stats["config_digest"], pools)
+            work = partial(
+                generate_sample, config, config_digest=stats["config_digest"], pools=pools
+            )
             indices = range(config.n_samples)
             if workers > 1:
                 rows = stack.enter_context(_open_pool(workers)).imap(work, indices, chunksize=16)
@@ -353,19 +345,28 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
                 problems.append(f"{label}: query text does not match logical form")
         except Exception as exc:
             problems.append(f"{label}: query text failed to parse: {exc}")
-        ids = relational_ids(sample.context_relational)
-        dangling = set(sample.answer_memids) - ids
-        if dangling:
-            problems.append(f"{label}: answer memids missing from context: {sorted(dangling)}")
         if not sample.answer_text:
             problems.append(f"{label}: empty answer text")
         try:
             read_relational_context(sample.context_relational)
+            ids = relational_ids(sample.context_relational)
         except Exception as exc:
-            problems.append(f"{label}: relational context unreadable: {exc}")
+            problems.append(f"{label}: relational context unreadable: {type(exc).__name__}: {exc}")
+            ids = None
+        memids = sample.answer_memids
+        if not isinstance(memids, list) or not all(isinstance(m, str) for m in memids):
+            problems.append(f"{label}: answer_memids is not a list of strings: {memids!r}")
+        elif ids is not None and not ids.issuperset(memids):
+            dangling = sorted(set(memids) - ids)
+            problems.append(f"{label}: answer memids missing from context: {dangling}")
         if config is not None:
-            regenerated = generate_sample(config, sample.sample_id, config_digest, pools)
-            if regenerated.to_record() != sample.to_record():
+            index = sample.sample_id
+            # _derive_seed packs the index as a signed 64-bit integer
+            if type(index) is not int or not 0 <= index < 2**63:
+                problems.append(f"{label}: sample_id is not a sample index, cannot regenerate")
+                continue
+            _, _, _, _, line = generate_sample(config, index, config_digest, pools)
+            if json.loads(line) != sample.to_record():
                 problems.append(f"{label}: does not match regeneration from config")
     return problems
 

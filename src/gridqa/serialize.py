@@ -14,9 +14,13 @@ integers. Agent actions never appear in either context.
 The relational context holds one reference-object node and one triple
 node per snapshot occurrence, keyed by 16-hex-digit ids. Block nodes
 carry their voxel cells so the context reconstructs snapshots exactly.
+render_relational_context returns it as JSON text, the bytes that
+json.dumps(context, sort_keys=True) writes; the read side
+(read_relational_context, relational_ids) takes the parsed dict.
 
-Dataset files are newline-delimited JSON records (UTF-8, sorted keys),
-one sample per line, with "format_version": 1.
+Dataset files are newline-delimited JSON records, one sample per line,
+with "format_version": 1: each line is json.dumps(record, sort_keys=True)
+plus a newline (ASCII, with non-ASCII escaped as \\uXXXX).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
 
@@ -99,70 +104,102 @@ class _Hexes(dict):
         return text
 
 
-def render_relational_context(snapshots: list[Snapshot]) -> dict:
-    """Graph encoding: reference-object nodes and triple nodes per snapshot.
+def _floats(values) -> str:
+    # repr is the conversion json.dumps applies to a float, and to an int
+    return ", ".join(map(repr, values))
 
-    Each memid is formatted once per call, and each block's voxels are
-    sorted once per call: the nodes of one block share a voxel list.
+
+def _block_node(block: BlockObject, hexes: _Hexes) -> tuple[str, str]:
+    """A block node's text before and after its time_index value."""
+    voxels = ", ".join(f"[{x}, {y}, {z}]" for x, y, z in sorted(block.voxels))
+    return (
+        f'{{"reference_object_hash": "{hexes[block.memid]}", '
+        f'"reference_objects_float": [{_floats(block.centroid)}, 0.0, 0.0], '
+        f'"reference_objects_words": ["inst_seg", {_json_str(block.shape)}, '
+        f'{_json_str(block.color)}], "time_index": ',
+        f', "voxels": [{voxels}]}}',
+    )
+
+
+def _triple_tail(triple: Triple, hexes: _Hexes) -> str:
+    """A triple node's text after its time_index value."""
+    t_id, subject_memid, predicate, object_text = triple
+    return (
+        f', "triples_hash": ["{hexes[t_id]}", "{hexes[subject_memid]}"], '
+        f'"triples_words": [{_json_str(predicate)}, {_json_str(object_text)}]}}'
+    )
+
+
+def render_relational_context(snapshots: list[Snapshot]) -> str:
+    """Graph encoding: reference-object nodes and triple nodes per snapshot,
+    as the JSON text json.dumps(context, sort_keys=True) would write.
+
+    Only the time_index differs between the nodes of one block or one
+    triple at different snapshots, so the text around it is built once
+    per call, as is each memid's text; entity nodes are formatted once
+    per snapshot.
     """
     if not snapshots:
         raise ValueError("need at least one snapshot")
-    # the first snapshot's ids in one pass; later snapshots add only new ones
-    ids = [obj.memid for obj in snapshots[0].reference_objects]
-    ids += [triple.t_id for triple in snapshots[0].triples]
-    hexes = _Hexes(zip(ids, map(memid_hex, ids)))
-    sorted_voxels: dict[frozenset, list] = {}
+    hexes = _Hexes()
+    blocks: dict[BlockObject, tuple[str, str]] = {}
+    tails_of: dict[Triple, str] = {}
+    triples, tails = None, []
     ref_nodes = []
-    triple_nodes = []
+    triple_runs = []
     for snapshot in snapshots:
-        t = snapshot.time_index
+        t = str(snapshot.time_index)
         for obj in snapshot.reference_objects:
             if isinstance(obj, Entity):
                 ref_nodes.append(
-                    {
-                        "reference_object_hash": hexes[obj.memid],
-                        "reference_objects_words": [obj.name, obj.type_word, obj.color],
-                        # a Pose is the tuple (x, y, z, pitch, yaw)
-                        "reference_objects_float": list(obj.pose),
-                        "time_index": t,
-                    }
+                    f'{{"reference_object_hash": "{hexes[obj.memid]}", '
+                    # a Pose is the tuple (x, y, z, pitch, yaw)
+                    f'"reference_objects_float": [{_floats(obj.pose)}], '
+                    f'"reference_objects_words": [{_json_str(obj.name)}, '
+                    f'{_json_str(obj.type_word)}, {_json_str(obj.color)}], "time_index": {t}}}'
                 )
             else:
-                voxels = sorted_voxels.get(obj.voxels)
-                if voxels is None:
-                    voxels = sorted_voxels[obj.voxels] = list(map(list, sorted(obj.voxels)))
-                cx, cy, cz = obj.centroid
-                ref_nodes.append(
-                    {
-                        "reference_object_hash": hexes[obj.memid],
-                        "reference_objects_words": ["inst_seg", obj.shape, obj.color],
-                        "reference_objects_float": [cx, cy, cz, 0.0, 0.0],
-                        "voxels": voxels,
-                        "time_index": t,
-                    }
-                )
-        triple_nodes += [
-            {
-                "triples_hash": [hexes[t_id], hexes[subject_memid]],
-                "triples_words": [predicate, object_text],
-                "time_index": t,
-            }
-            for t_id, subject_memid, predicate, object_text in snapshot.triples
-        ]
-    return {"reference_objects": ref_nodes, "triples": triple_nodes}
+                head, tail = blocks.get(obj) or blocks.setdefault(obj, _block_node(obj, hexes))
+                ref_nodes.append(head + t + tail)
+        if snapshot.triples != triples:  # a snapshot mostly repeats the last one's triples
+            triples = snapshot.triples
+            tails = [
+                tails_of.get(triple) or tails_of.setdefault(triple, _triple_tail(triple, hexes))
+                for triple in triples
+            ]
+        if tails:
+            head = '{"time_index": ' + t
+            triple_runs.append(head + (", " + head).join(tails))
+    return (
+        f'{{"reference_objects": [{", ".join(ref_nodes)}], '
+        f'"triples": [{", ".join(triple_runs)}]}}'
+    )
 
 
 def read_relational_context(context: dict) -> list[Snapshot]:
-    """Inverse of render_relational_context; reconstructs the snapshots."""
+    """Inverse of render_relational_context, given its parsed JSON;
+    reconstructs the snapshots.
+
+    A block node that repeats an earlier node's id, words and voxels
+    reuses that node's BlockObject instead of rebuilding its voxel set.
+    """
     by_time: dict[int, tuple[list, list]] = {}
+    blocks: dict[str, tuple[list, list, BlockObject]] = {}
     for node in context["reference_objects"]:
         objs, triples = by_time.setdefault(node["time_index"], ([], []))
-        memid = int(node["reference_object_hash"], 16)
+        rid = node["reference_object_hash"]
+        memid = int(rid, 16)
         words = node["reference_objects_words"]
         if words[0] == "inst_seg":
+            voxels = node["voxels"]
+            seen = blocks.get(rid)
+            if seen is not None and seen[0] == words and seen[1] == voxels:
+                objs.append(seen[2])
+                continue
             _, shape, color = words
-            voxels = frozenset(tuple(v) for v in node["voxels"])
-            objs.append(BlockObject(memid, shape, color, voxels))
+            block = BlockObject(memid, shape, color, frozenset(tuple(v) for v in voxels))
+            blocks[rid] = (words, voxels, block)
+            objs.append(block)
         else:
             name, type_word, color = words
             x, y, z, pitch, yaw = node["reference_objects_float"]
@@ -217,9 +254,17 @@ class Sample:
         return cls(**record)
 
 
-def encode_record(record: dict) -> str:
-    """One dataset line: the record as sorted-key JSON plus a newline."""
-    return json.dumps(record, sort_keys=True) + "\n"
+def record_line(record: dict) -> str:
+    """One dataset line, json.dumps(record, sort_keys=True) plus a newline,
+    for a record whose context_relational is render_relational_context's text.
+
+    The text goes in as written, at the place of its key. The placeholder
+    matches nowhere earlier in the line: the keys that sort before it hold
+    strings, and a '"' inside a JSON string is escaped.
+    """
+    line = json.dumps({**record, "context_relational": 0}, sort_keys=True)
+    context = '"context_relational": ' + record["context_relational"]
+    return line.replace('"context_relational": 0', context, 1) + "\n"
 
 
 def read_jsonl(path: str | Path, build) -> list:

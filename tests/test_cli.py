@@ -24,13 +24,19 @@ from gridqa.cli import (
 )
 from gridqa.config import ConfigError, GenConfig, apply_overrides, load_config, parse_config_text
 from gridqa.scenegen import default_names
-from gridqa.serialize import read_samples
+from gridqa.serialize import Sample, read_samples
 
 
 def small_config(tmp_path, **overrides) -> GenConfig:
     base = dict(n_samples=30, seed=7, out_dir=str(tmp_path / "data"))
     base.update(overrides)
     return dataclasses.replace(GenConfig(), **base)
+
+
+def regenerate(config: GenConfig, index: int) -> dict:
+    """The record generate_sample writes for one index, parsed."""
+    *_, line = generate_sample(config, index, config.digest(), pools_for(config))
+    return json.loads(line)
 
 
 def read_all_records(out_dir: Path) -> dict[int, dict]:
@@ -173,7 +179,7 @@ def test_a_run_hashes_its_pool_file_once(tmp_path, monkeypatch):
     assert validate_dataset(out / "train.jsonl", config) == []
     assert len(hashed) == 1
     # a single index still regenerates on its own
-    assert generate_sample(config, 3, config.digest(), pools_for(config)).to_record() == records[3]
+    assert regenerate(config, 3) == records[3]
 
 
 def test_a_run_reads_each_pool_file_once(tmp_path, monkeypatch):
@@ -209,10 +215,10 @@ def test_a_pool_file_rewritten_during_a_run_changes_no_record(tmp_path, monkeypa
     expected = read_all_records(Path(config.out_dir))
     real = cli.generate_sample
 
-    def rewriting(config, index, *run_inputs):
-        sample = real(config, index, *run_inputs)
+    def rewriting(config, index, **run_inputs):
+        row = real(config, index, **run_inputs)
         names.write_text("uma\nvic\nwes\nxia\nyul\nzed\n", encoding="utf-8")
-        return sample
+        return row
 
     monkeypatch.setattr(cli, "generate_sample", rewriting)
     rerun = dataclasses.replace(config, out_dir=str(tmp_path / "rerun"))
@@ -225,8 +231,7 @@ def test_subset_regeneration_matches_full_run(tmp_path):
     generate(config)
     records = read_all_records(Path(config.out_dir))
     for index in (0, 7, 13, 29):
-        regenerated = generate_sample(config, index, config.digest(), pools_for(config))
-        assert regenerated.to_record() == records[index]
+        assert regenerate(config, index) == records[index]
 
 
 def test_split_assignment_is_deterministic_and_index_keyed(tmp_path):
@@ -291,18 +296,21 @@ def test_pool_workers_run_on_disjoint_cpus():
     assert os.sched_getaffinity(0) == set().union(*expected)
 
 
+_real_generate_sample = cli.generate_sample
+
+
+def _failing_at_5(config, index, **run_inputs):
+    # module-level, so a pool can send it to its workers by name
+    if index == 5:
+        raise GenerationCapacityError(f"sample {index}: injected failure")
+    return _real_generate_sample(config, index, **run_inputs)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failed_generate_leaves_no_files_and_no_children(tmp_path, monkeypatch, workers):
     if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see the patched generate_sample only when forked")
-    real = cli.generate_sample
-
-    def failing(config, index, *run_inputs):
-        if index == 5:
-            raise GenerationCapacityError(f"sample {index}: injected failure")
-        return real(config, index, *run_inputs)
-
-    monkeypatch.setattr(cli, "generate_sample", failing)
+        pytest.skip("workers import this test module only when forked")
+    monkeypatch.setattr(cli, "generate_sample", _failing_at_5)
     config = small_config(tmp_path)
     with pytest.raises(GenerationCapacityError, match="injected"):
         generate(config, workers=workers)
@@ -436,8 +444,7 @@ def test_score_alignment_error_lists_offenders(tmp_path):
 def test_inspect_dump_contains_query_and_seed(tmp_path):
     config = small_config(tmp_path, n_samples=5)
     generate(config)
-    records = read_all_records(Path(config.out_dir))
-    sample = generate_sample(config, 2, config.digest(), pools_for(config))
+    sample = Sample.from_record(regenerate(config, 2))
     dump = format_dump(sample)
     assert sample.query_text in dump
     assert str(sample.generation_metadata["sample_seed"]) in dump
@@ -492,6 +499,53 @@ def test_validate_flags_tampered_records(tmp_path):
     problems = validate_dataset(path)
     assert any("empty answer" in p for p in problems)
     assert any("failed to parse" in p for p in problems)
+
+
+def _drop_first_triples_hash(record):
+    del record["context_relational"]["triples"][0]["triples_hash"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (_drop_first_triples_hash, "relational context unreadable: KeyError"),
+        (lambda record: record.update(context_relational=5), "relational context unreadable"),
+        (lambda record: record.update(answer_memids=None), "answer_memids"),
+    ],
+    ids=["triple-without-hash", "context-not-an-object", "null-answer-memids"],
+)
+def test_validate_reports_a_malformed_record_without_a_traceback(
+    tmp_path, capsys, corrupt, problem
+):
+    config = small_config(tmp_path, n_samples=2, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    path = Path(config.out_dir) / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    corrupt(records[1])
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    problems = validate_dataset(path)
+    assert len(problems) == 1 and problems[0].startswith("sample 1: ")
+    assert problem in problems[0]
+    assert main(["validate", "--dataset", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sample_id", ["x", -1, 2**64, True])
+def test_validate_with_config_reports_an_id_it_cannot_regenerate(tmp_path, capsys, sample_id):
+    config = small_config(tmp_path, n_samples=2, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    path = Path(config.out_dir) / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1]["sample_id"] = sample_id
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert validate_dataset(path, config) == [
+        f"sample {sample_id}: sample_id is not a sample index, cannot regenerate"
+    ]
+    cfg = str(Path(config.out_dir) / "config.cfg")
+    assert main(["validate", "--dataset", str(path), "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "cannot regenerate" in err and "Traceback" not in err
 
 
 # --- entry point --------------------------------------------------------------------

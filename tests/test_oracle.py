@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -367,7 +368,7 @@ def test_answer_memids_resolve_in_relational_context():
         rng = random.Random(seed + 1000)
         form, _, _ = sample_query(snapshots, config, rng)
         answer = execute(form, snapshots)
-        ids = relational_ids(render_relational_context(snapshots))
+        ids = relational_ids(json.loads(render_relational_context(snapshots)))
         assert set(answer.relevant_memids) <= ids
 
 

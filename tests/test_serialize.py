@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -11,7 +12,6 @@ from gridqa.cli import generate_sample
 from gridqa.serialize import (
     DatasetIOError,
     Sample,
-    encode_record,
     read_relational_context,
     read_samples,
     relational_ids,
@@ -20,7 +20,23 @@ from gridqa.serialize import (
     section_lines,
 )
 from gridqa.dynamics import TASK_KINDS, run_episode
-from gridqa.worldcore import AGENT, NPC, PLAYER, Entity, Pose, take_snapshot
+from gridqa.worldcore import (
+    AGENT,
+    NPC,
+    PLAYER,
+    BlockObject,
+    Entity,
+    Pose,
+    Snapshot,
+    Triple,
+    take_snapshot,
+)
+
+
+def sample_lines(config, indices):
+    """The JSONL lines generate_sample writes for the given indices."""
+    pools = pools_for(config)
+    return [generate_sample(config, i, config.digest(), pools)[-1] for i in indices]
 
 
 def test_single_snapshot_single_section():
@@ -82,7 +98,7 @@ def test_section_counts_one_line_per_object_and_tag():
 
 def test_relational_node_counts():
     _, snapshots = make_episode(7)
-    ctx = render_relational_context(snapshots)
+    ctx = json.loads(render_relational_context(snapshots))
     expected_refs = sum(len(s.reference_objects) for s in snapshots)
     expected_triples = sum(len(s.triples) for s in snapshots)
     assert len(ctx["reference_objects"]) == expected_refs
@@ -92,16 +108,13 @@ def test_relational_node_counts():
 def test_relational_round_trip_exact():
     for seed in range(20):
         _, snapshots = make_episode(seed)
-        ctx = render_relational_context(snapshots)
-        # simulate the file boundary
-        ctx = json.loads(json.dumps(ctx))
-        restored = read_relational_context(ctx)
+        restored = read_relational_context(json.loads(render_relational_context(snapshots)))
         assert restored == snapshots
 
 
 def test_persistent_objects_share_rid_across_time():
     _, snapshots = make_episode(9)
-    ctx = render_relational_context(snapshots)
+    ctx = json.loads(render_relational_context(snapshots))
     by_rid = {}
     for node in ctx["reference_objects"]:
         by_rid.setdefault(node["reference_object_hash"], []).append(node["time_index"])
@@ -114,7 +127,7 @@ def test_persistent_objects_share_rid_across_time():
 
 def test_triple_nodes_link_to_existing_reference_objects():
     _, snapshots = make_episode(10)
-    ctx = render_relational_context(snapshots)
+    ctx = json.loads(render_relational_context(snapshots))
     rids_by_time = {}
     for node in ctx["reference_objects"]:
         rids_by_time.setdefault(node["time_index"], set()).add(node["reference_object_hash"])
@@ -127,7 +140,7 @@ def test_text_and_relational_agree_on_words_and_coordinates():
     _, snapshots = make_episode(11)
     rng = random.Random(0)
     text = render_text_context(snapshots, rng)
-    ctx = render_relational_context(snapshots)
+    ctx = json.loads(render_relational_context(snapshots))
     for node in ctx["reference_objects"]:
         words = node["reference_objects_words"]
         if words[0] == "inst_seg":
@@ -144,28 +157,24 @@ def test_text_and_relational_agree_on_words_and_coordinates():
 
 
 def test_write_and_read_samples_round_trip(tmp_path):
-    config = GenConfig()
-    samples = [generate_sample(config, i, config.digest(), pools_for(config)) for i in range(8)]
+    lines = sample_lines(GenConfig(), range(8))
     path = tmp_path / "out.jsonl"
-    path.write_text("".join(encode_record(s.to_record()) for s in samples), encoding="utf-8")
+    path.write_text("".join(lines), encoding="utf-8")
     back = read_samples(path)
-    assert [s.to_record() for s in back] == [s.to_record() for s in samples]
+    assert [s.to_record() for s in back] == [json.loads(line) for line in lines]
     assert len(path.read_text().splitlines()) == 8
 
 
 @pytest.mark.parametrize("preset", ["default", "properties"])
 def test_shallow_record_encodes_like_asdict(preset):
     config = GenConfig.properties_mode() if preset == "properties" else GenConfig()
-    for index in range(20):
-        sample = generate_sample(config, index, config.digest(), pools_for(config))
-        record = sample.to_record()
-        assert json.dumps(record, sort_keys=True) == json.dumps(
-            dataclasses.asdict(sample), sort_keys=True
-        )
-        assert Sample.from_record(record) == sample
-        line = encode_record(record)
-        assert line == json.dumps(record, sort_keys=True) + "\n"
-        assert encode_record(Sample.from_record(json.loads(line)).to_record()) == line
+    for line in sample_lines(config, range(50)):
+        record = json.loads(line)
+        # the spliced line is byte for byte the sorted-key dump of its record
+        assert json.dumps(record, sort_keys=True) + "\n" == line
+        sample = Sample.from_record(record)
+        assert sample.to_record() == record
+        assert json.dumps(dataclasses.asdict(sample), sort_keys=True) + "\n" == line
 
 
 def test_write_zero_samples(tmp_path):
@@ -182,20 +191,18 @@ def test_read_failure_carries_path_context(tmp_path):
 
 
 def test_answer_memids_subset_of_relational_ids():
-    config = GenConfig()
-    for i in range(10):
-        sample = generate_sample(config, i, config.digest(), pools_for(config))
-        assert set(sample.answer_memids) <= relational_ids(sample.context_relational)
+    for line in sample_lines(GenConfig(), range(10)):
+        record = json.loads(line)
+        assert set(record["answer_memids"]) <= relational_ids(record["context_relational"])
 
 
 def test_action_names_never_in_context():
-    config = GenConfig(command_prob=1.0)
-    for i in range(10):
-        sample = generate_sample(config, i, config.digest(), pools_for(config))
-        log = sample.generation_metadata["action_log"]
+    for line in sample_lines(GenConfig(command_prob=1.0), range(10)):
+        record = json.loads(line)
+        log = record["generation_metadata"]["action_log"]
         assert log, "expected a command this episode"
         action = log[-1]["action"]
-        assert f" {action} " not in f" {sample.context_text} ".replace("\n", " ")
+        assert f" {action} " not in f" {record['context_text']} ".replace("\n", " ")
 
 
 # --- the relational render against a plain per-node copy ----------------------------
@@ -263,7 +270,24 @@ def test_relational_render_matches_the_plain_render_for_every_task_kind():
             continue
         per_kind[kind] += 1
         rendered, plain = render_relational_context(snapshots), plain_relational_context(snapshots)
-        assert rendered == plain, seed - 1
-        assert encode_record(rendered) == encode_record(plain)
+        assert rendered == json.dumps(plain, sort_keys=True), seed - 1
         if kind in ("build", "dig", "destroy"):
             assert len(snapshot_blocks(snapshots[0])) != len(snapshot_blocks(snapshots[-1]))
+
+
+def test_relational_render_escapes_and_formats_numbers_like_json_dumps():
+    # words no pool file may hold (non-ASCII, a quote, a backslash), an integer
+    # pitch (Pose keeps an int pitch as an int) and negative zero coordinates
+    name, color, tag = 'rémy "the" \\ one', "blü✓", 'bébé ✓ "q" \\'
+    block = BlockObject(0x2A, 'cône "\\"', "grèy✓", frozenset({(1, 0, 2), (0, 0, 2)}))
+    entity = partial(Entity, 3, NPC, name, color, npc_type="chèvre")
+    triples = (Triple(0x10, 3, "has_tag", tag),)
+    first = Snapshot(0, (entity(Pose(-0.0, 0.5, 1.0, pitch=30, yaw=12.25)), block), triples)
+    second = Snapshot(4, (entity(Pose(2.0, -0.0, 1e-7)), block), triples)
+    # a snapshot without triples between two with the same ones
+    bare = Snapshot(2, (block,), ())
+    for snapshots in ([first], [first, second], [bare, second], [first, bare, second]):
+        text = render_relational_context(snapshots)
+        assert text == json.dumps(plain_relational_context(snapshots), sort_keys=True)
+        assert text.isascii() and "\\u00e9" in text and "\\u2713" in text
+        assert read_relational_context(json.loads(text)) == snapshots

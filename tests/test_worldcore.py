@@ -49,7 +49,7 @@ def test_pose_is_immutable_picklable_and_keeps_its_repr():
     assert pose.position == (1.0, 2.0, 3.0)
     # the relational context rebuilds poses that compare equal
     _, snapshots = make_episode(3)
-    restored = read_relational_context(json.loads(json.dumps(render_relational_context(snapshots))))
+    restored = read_relational_context(json.loads(render_relational_context(snapshots)))
     assert restored == snapshots
     assert all(type(e.pose) is Pose for snap in restored for e in snap.entities())
 
