@@ -9,8 +9,9 @@ Subcommands:
     inspect   human-readable dump of one record
     validate  integrity checks over an emitted dataset
 
-Exit codes: 0 success, 1 config or validation error, 2 generation
-capacity exhausted, 3 I/O failure.
+Exit codes: 0 success, 1 config or validation error (or prediction ids that
+differ from the references), 2 generation capacity exhausted, 3 I/O failure
+(or a `generate --workers N` child process that ended without reporting).
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import struct
 import sys
+from collections import Counter
 from contextlib import ExitStack
-from functools import partial
-from multiprocessing import Lock, Pool, SimpleQueue
+from multiprocessing import Pipe, Process, Value
 from pathlib import Path
 
 from .config import ConfigError, GenConfig, apply_overrides, load_config
@@ -85,8 +87,7 @@ def generate_sample(
     The caller validates config and supplies config_digest
     (config.digest()) and pools (ScenePools.from_config(config)),
     computed once at the start of its run, so all the run's records
-    carry one digest and draw from one set of pools. A pool worker
-    returns the finished line, so the parent only writes it.
+    carry one digest and draw from one set of pools.
     """
     for attempt in range(config.scene_retries):
         sample_seed = _derive_seed(config.seed, index, attempt, b"scene")
@@ -128,7 +129,7 @@ def generate_sample(
 
 
 def _worker_cpu_sets(workers: int) -> list[set[int]] | None:
-    """Disjoint sets of this process's CPUs, one per pool worker, or None
+    """Disjoint sets of this process's CPUs, one per range writer, or None
     where the platform cannot bind a process or there are fewer CPUs than workers."""
     if not hasattr(os, "sched_setaffinity"):
         return None
@@ -138,47 +139,108 @@ def _worker_cpu_sets(workers: int) -> list[set[int]] | None:
     return [set(cpus[i::workers]) for i in range(workers)]
 
 
-def _bind_worker(cpu_sets, lock) -> None:
-    """Pool initializer: bind this worker to the next CPU set in the
-    `cpu_sets` SimpleQueue, taken under `lock`.
+def _counts() -> dict:
+    """The counted fields of the stats report, all zero."""
+    by = {"by_split": Counter(), "by_class": Counter(), "by_return_type": Counter()}
+    return {"n_samples": 0, "scene_regenerations": 0, **by}
 
-    A worker that finds none left (one started to replace a dead worker)
-    stays unbound.
-    """
-    with lock:
-        cpus = None if cpu_sets.empty() else cpu_sets.get()
+
+def _write_range(config, lo, hi, paths, run_inputs, counts, failed=None) -> None:
+    """Generate indices lo..hi-1 in order, writing each record's line to
+    paths[its split] and counting it in counts. With failed, a shared lowest
+    failed index, the range stops before any index above it."""
+    with ExitStack() as stack:
+        try:
+            handles = {
+                split: stack.enter_context(path.open("w", encoding="utf-8"))
+                for split, path in paths.items()
+            }
+        except OSError as exc:
+            raise DatasetIOError(f"cannot open output files in {config.out_dir}: {exc}") from exc
+        for index in range(lo, hi):
+            if failed is not None and index > failed.value:
+                break
+            _, query_class, return_type, attempt, line = generate_sample(
+                config, index, **run_inputs
+            )
+            split = split_of(config, index)
+            handles[split].write(line)
+            counts["n_samples"] += 1
+            counts["by_split"][split] += 1
+            counts["by_class"][query_class] += 1
+            counts["by_return_type"][return_type] += 1
+            counts["scene_regenerations"] += attempt
+
+
+def _range_writer(config, lo, hi, paths, run_inputs, failed, sender, cpus) -> None:
+    """Child process of _write_ranges: sends back the range's counts, or its error."""
     if cpus is not None:
         os.sched_setaffinity(0, cpus)
+    report = _counts()
+    try:
+        _write_range(config, lo, hi, paths, run_inputs, report, failed)
+    except Exception as exc:
+        with failed.get_lock():  # every index before lo + n_samples was written
+            failed.value = min(failed.value, lo + report["n_samples"])
+        report = exc
+    sender.send(report)
 
 
-def _open_pool(workers: int):
-    """A pool whose workers run on disjoint CPUs.
-
-    Left to itself the scheduler often wakes both workers on the parent's
-    CPU and leaves them sharing it, with another CPU idle, for a whole
-    short run; that halves the throughput of some runs and not of others.
-    """
-    cpu_sets = _worker_cpu_sets(workers)
-    if cpu_sets is None:
-        return Pool(workers)
-    unclaimed = SimpleQueue()
-    for cpus in cpu_sets:
-        unclaimed.put(cpus)
-    return Pool(workers, initializer=_bind_worker, initargs=(unclaimed, Lock()))
+def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
+    """_write_range over `workers` contiguous ranges of the indices, each in a
+    child process on its own CPUs, whose part files the parent appends to paths
+    in range order. Raises the lowest failed range's error, as one writer would,
+    or ChildProcessError for a child that ended without reporting."""
+    bounds = [config.n_samples * k // workers for k in range(workers + 1)]
+    cpus = _worker_cpu_sets(workers) or [None] * workers
+    failed = Value("q", config.n_samples)
+    children = []
+    try:
+        for k in range(workers):
+            parts = {split: path.with_suffix(f".{k}.tmp") for split, path in paths.items()}
+            receiver, sender = Pipe(duplex=False)
+            args = (config, bounds[k], bounds[k + 1], parts, run_inputs, failed, sender, cpus[k])
+            child = Process(target=_range_writer, args=args)
+            child.start()
+            sender.close()
+            children.append((child, receiver, parts))
+        for k, (child, receiver, _) in enumerate(children):
+            try:
+                report = receiver.recv()
+            except EOFError:
+                child.join()
+                report = ChildProcessError(
+                    f"worker {k} (samples {bounds[k]}..{bounds[k + 1] - 1}) ended with "
+                    f"exit code {child.exitcode} without reporting"
+                )
+            if isinstance(report, Exception):
+                raise report
+            for key, value in report.items():
+                stats[key] += value
+        for split, path in paths.items():
+            with path.open("wb") as out:
+                for _, _, parts in children:
+                    with parts[split].open("rb") as part:
+                        shutil.copyfileobj(part, out)
+    finally:
+        failed.value = -1  # stops any range still running
+        for child, receiver, parts in children:
+            child.join()
+            receiver.close()
+            for part in parts.values():
+                part.unlink(missing_ok=True)
 
 
 def generate(config: GenConfig, workers: int = 1) -> dict:
     """Generate config.n_samples records across splits; returns the stats report.
 
-    With workers > 1 a process pool, its workers bound to disjoint CPUs
-    where the platform allows, generates the samples and each worker
-    returns its records as encoded JSON lines; the parent only assigns
-    splits, writes the lines and counts the stats. Besides the split
-    files, out_dir gets stats.json and config.cfg (the effective config,
-    loadable by `validate --config`; a config whose values would not read
-    back from it is refused up front). All of them are written to
-    temporary files in out_dir and renamed into place after the last
-    record, so a failed run leaves none of them.
+    With workers > 1, one child process per contiguous range of the indices
+    writes that range (see _write_ranges), and the output is the serial output
+    byte for byte. Besides the split files, out_dir gets stats.json and
+    config.cfg (the effective config, loadable by `validate --config`; a config
+    whose values would not read back from it is refused up front). All of them
+    are written to temporary files in out_dir and renamed into place after the
+    last record, so a failed run leaves none of them.
     """
     config.validate()
     cpus = os.cpu_count() or 1
@@ -189,49 +251,21 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
     out_dir = Path(config.out_dir)
     names = [f"{split}.jsonl" for split in SPLITS] + ["stats.json", "config.cfg"]
     temps = {name: out_dir / f".{name}.tmp" for name in names}
-    pools = ScenePools.from_config(config)
-    stats = {
-        "n_samples": 0,
-        "by_class": {},
-        "by_return_type": {},
-        "by_split": {split: 0 for split in SPLITS},
-        "scene_regenerations": 0,
-        "config_digest": config.digest(),
-        "seed": config.seed,
-    }
+    split_temps = {split: temps[f"{split}.jsonl"] for split in SPLITS}
+    stats = {**_counts(), "config_digest": config.digest(), "seed": config.seed}
+    run_inputs = {"config_digest": stats["config_digest"], "pools": ScenePools.from_config(config)}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DatasetIOError(f"cannot create output directory {out_dir}: {exc}") from exc
+    workers = min(workers, config.n_samples)  # no range is empty
     try:
-        with ExitStack() as stack:
-            try:
-                handles = {
-                    split: stack.enter_context(
-                        temps[f"{split}.jsonl"].open("w", encoding="utf-8")
-                    )
-                    for split in SPLITS
-                }
-            except OSError as exc:
-                raise DatasetIOError(f"cannot open output files in {out_dir}: {exc}") from exc
-            work = partial(
-                generate_sample, config, config_digest=stats["config_digest"], pools=pools
-            )
-            indices = range(config.n_samples)
-            if workers > 1:
-                rows = stack.enter_context(_open_pool(workers)).imap(work, indices, chunksize=16)
-            else:
-                rows = map(work, indices)
-            for index, query_class, return_type, attempt, line in rows:
-                split = split_of(config, index)
-                handles[split].write(line)
-                stats["n_samples"] += 1
-                stats["by_split"][split] += 1
-                stats["by_class"][query_class] = stats["by_class"].get(query_class, 0) + 1
-                stats["by_return_type"][return_type] = (
-                    stats["by_return_type"].get(return_type, 0) + 1
-                )
-                stats["scene_regenerations"] += attempt
+        if workers > 1:
+            _write_ranges(config, workers, split_temps, run_inputs, stats)
+        else:
+            _write_range(config, 0, config.n_samples, split_temps, run_inputs, stats)
+        # every split is listed, an empty one with 0
+        stats["by_split"] = {split: stats["by_split"][split] for split in SPLITS}
         try:
             temps["stats.json"].write_text(
                 json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -250,8 +284,13 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
 # --- scoring -----------------------------------------------------------------
 
 
-def _normalize(text: str) -> str:
-    return " ".join(text.split())
+def _scored(record: dict) -> tuple[int, str]:
+    """(sample_id, whitespace-normalized answer_text); a TypeError, which
+    read_jsonl reports with the file and line, if they are not an int and a string."""
+    sample_id, answer = record["sample_id"], record["answer_text"]
+    if type(sample_id) is not int or not isinstance(answer, str):
+        raise TypeError(f"sample_id {sample_id!r} and answer_text {answer!r} must be int and str")
+    return sample_id, " ".join(answer.split())
 
 
 def score(predictions_path: str | Path, references_path: str | Path) -> dict:
@@ -261,12 +300,12 @@ def score(predictions_path: str | Path, references_path: str | Path) -> dict:
     Token sequences are compared after whitespace normalization; the
     report includes a per-class breakdown.
     """
-    references = read_samples(references_path)
-    predictions = dict(
-        read_jsonl(predictions_path, lambda record: (record["sample_id"], record["answer_text"]))
+    references = read_jsonl(
+        references_path, lambda record: (Sample.from_record(record).query_class, *_scored(record))
     )
+    predictions = dict(read_jsonl(predictions_path, _scored))
 
-    ref_ids = {s.sample_id for s in references}
+    ref_ids = {sample_id for _, sample_id, _ in references}
     missing = sorted(ref_ids - set(predictions))
     extra = sorted(set(predictions) - ref_ids)
     if missing or extra:
@@ -277,10 +316,10 @@ def score(predictions_path: str | Path, references_path: str | Path) -> dict:
 
     per_class: dict[str, dict] = {}
     wrong_total = 0
-    for sample in references:
-        wrong = int(_normalize(predictions[sample.sample_id]) != _normalize(sample.answer_text))
+    for query_class, sample_id, answer in references:
+        wrong = int(predictions[sample_id] != answer)
         wrong_total += wrong
-        bucket = per_class.setdefault(sample.query_class, {"n": 0, "wrong": 0})
+        bucket = per_class.setdefault(query_class, {"n": 0, "wrong": 0})
         bucket["n"] += 1
         bucket["wrong"] += wrong
     n = len(references)
@@ -341,11 +380,15 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
             problems.append(f"{label}: unknown format_version {sample.format_version}")
         try:
             reparsed = parse_form(sample.query_text)
-            if reparsed.to_dict() != sample.query_logical_form:
+            if not isinstance(sample.query_logical_form, dict):
+                problems.append(f"{label}: query_logical_form is not an object")
+            elif reparsed.to_dict() != sample.query_logical_form:
                 problems.append(f"{label}: query text does not match logical form")
         except Exception as exc:
             problems.append(f"{label}: query text failed to parse: {exc}")
-        if not sample.answer_text:
+        if not isinstance(sample.answer_text, str):
+            problems.append(f"{label}: answer_text is not a string: {sample.answer_text!r}")
+        elif not sample.answer_text:
             problems.append(f"{label}: empty answer text")
         try:
             read_relational_context(sample.context_relational)
@@ -463,6 +506,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except AlignmentError as exc:
+        print(f"alignment error: {exc}", file=sys.stderr)
         return 1
     except (GenerationCapacityError, SceneCapacityError) as exc:
         print(f"generation capacity error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import time
 from collections import Counter
@@ -262,9 +263,21 @@ def test_generate_parallel_matches_serial(tmp_path):
         assert a == b
 
 
-def _worker_affinity(_):
-    time.sleep(0.05)  # keep this worker busy so the next task goes to another
-    return os.getpid(), frozenset(os.sched_getaffinity(0))
+@pytest.mark.parametrize(
+    "preset, seed, n_samples",
+    [("default", 11, 600), ("properties", 12, 600), ("default", 11, 0), ("default", 11, 1)],
+)
+def test_parallel_output_matches_serial_at_any_size(tmp_path, preset, seed, n_samples):
+    base = GenConfig.properties_mode() if preset == "properties" else GenConfig()
+    outputs = []
+    for workers in (1, 2):
+        config = dataclasses.replace(
+            base, n_samples=n_samples, seed=seed, out_dir=str(tmp_path / str(workers))
+        )
+        generate(config, workers=workers)
+        names = ("train.jsonl", "valid.jsonl", "test.jsonl", "stats.json")
+        outputs.append([(Path(config.out_dir) / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU binding here")
@@ -279,42 +292,129 @@ def test_worker_cpu_sets_split_the_cpus_of_this_process():
     assert cli._worker_cpu_sets(len(cpus) + 1) is None
 
 
+_real_generate_sample = cli.generate_sample
+
+
+def _on_cpus(config, index, **run_inputs):
+    # counts each record under the CPUs of the process that wrote it
+    index, _, return_type, attempt, line = _real_generate_sample(config, index, **run_inputs)
+    return index, json.dumps(sorted(os.sched_getaffinity(0))), return_type, attempt, line
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs CPU binding and two CPUs",
 )
-def test_pool_workers_run_on_disjoint_cpus():
+def test_generate_workers_each_run_on_their_own_cpus(tmp_path, monkeypatch):
     if multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers import this test module only when forked")
-    expected = {frozenset(cpus) for cpus in cli._worker_cpu_sets(2)}
-    with cli._open_pool(2) as pool:
-        seen = dict(pool.map(_worker_affinity, range(4), chunksize=1))
-    assert set(seen.values()) <= expected
-    assert len(set(seen.values())) == len(seen)
-    # a worker started after the CPU sets are all claimed stays unbound, without waiting
-    cli._bind_worker(multiprocessing.SimpleQueue(), multiprocessing.Lock())
-    assert os.sched_getaffinity(0) == set().union(*expected)
+        pytest.skip("workers see a patched generate_sample only when forked")
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(cli, "generate_sample", _on_cpus)
+    stats = generate(small_config(tmp_path, n_samples=4), workers=2)
+    assert stats["by_class"] == {json.dumps(sorted(s)): 2 for s in cli._worker_cpu_sets(2)}
+    # the parent only waits, and stays unbound
+    assert os.sched_getaffinity(0) == cpus
 
 
-_real_generate_sample = cli.generate_sample
+def _failing_at(*indices, before_failing=lambda: None):
+    def failing(config, index, **run_inputs):
+        if index in indices:
+            before_failing()
+            raise GenerationCapacityError(f"sample {index}: injected failure")
+        return _real_generate_sample(config, index, **run_inputs)
+
+    return failing
 
 
-def _failing_at_5(config, index, **run_inputs):
-    # module-level, so a pool can send it to its workers by name
-    if index == 5:
-        raise GenerationCapacityError(f"sample {index}: injected failure")
-    return _real_generate_sample(config, index, **run_inputs)
+def _no_terminate(*args):
+    raise AssertionError("a failed run must not terminate or kill a process")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failed_generate_leaves_no_files_and_no_children(tmp_path, monkeypatch, workers):
     if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers import this test module only when forked")
-    monkeypatch.setattr(cli, "generate_sample", _failing_at_5)
+        pytest.skip("workers see a patched generate_sample only when forked")
+    for owner, name in (
+        (multiprocessing.process.BaseProcess, "terminate"),
+        (multiprocessing.process.BaseProcess, "kill"),
+        (multiprocessing.pool.Pool, "terminate"),
+    ):
+        monkeypatch.setattr(owner, name, _no_terminate)
+    # 30 samples: at 2 workers, ranges 0..14 and 15..29; the lowest failure is raised
+    for failing, first in (((5, 20), 5), ((20,), 20)):
+        monkeypatch.setattr(cli, "generate_sample", _failing_at(*failing))
+        config = small_config(tmp_path, out_dir=str(tmp_path / f"failing-{first}"))
+        with pytest.raises(GenerationCapacityError) as err:
+            generate(config, workers=workers)
+        assert str(err.value) == f"sample {first}: injected failure"
+        assert list(Path(config.out_dir).iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
+def test_a_failed_range_stops_the_ranges_above_it(tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see a patched generate_sample only when forked")
+    failed, written = tmp_path / "failed", tmp_path / "written"
+    failing = _failing_at(5, before_failing=failed.touch)
+
+    def slow_second_range(config, index, **run_inputs):
+        if index >= 15:
+            # start only once sample 5 has failed, then take 15 x 0.05 s in all
+            deadline = time.monotonic() + 30
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.05)
+            with written.open("a") as f:
+                f.write(f"{index}\n")
+        return failing(config, index, **run_inputs)
+
+    monkeypatch.setattr(cli, "generate_sample", slow_second_range)
     config = small_config(tmp_path)
-    with pytest.raises(GenerationCapacityError, match="injected"):
-        generate(config, workers=workers)
+    with pytest.raises(GenerationCapacityError, match="sample 5"):
+        generate(config, workers=2)
+    assert len(written.read_text().split()) < 15
     assert list(Path(config.out_dir).iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_four_range_writers_keep_range_order_and_raise_the_lowest_failure(tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see a patched generate_sample only when forked")
+    workers = 4  # more than the CPUs of a small host, so some go unbound
+    config = small_config(tmp_path, n_samples=10 * workers)
+    generate(config)
+    out = tmp_path / "ranges"
+    out.mkdir()
+    paths = {split: out / f"{split}.jsonl" for split in cli.SPLITS}
+    run_inputs = {"config_digest": config.digest(), "pools": pools_for(config)}
+    cli._write_ranges(config, workers, paths, run_inputs, cli._counts())
+    for split, path in paths.items():
+        assert path.read_bytes() == (Path(config.out_dir) / f"{split}.jsonl").read_bytes()
+    # ranges of 10 samples: the failures are in the second and the last range
+    monkeypatch.setattr(cli, "generate_sample", _failing_at(15, 10 * workers - 5))
+    with pytest.raises(GenerationCapacityError) as err:
+        cli._write_ranges(config, workers, paths, run_inputs, cli._counts())
+    assert str(err.value) == "sample 15: injected failure"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in paths.values())
+    assert multiprocessing.active_children() == []
+
+
+def _dying_at_20(config, index, **run_inputs):
+    if index == 20:
+        os._exit(1)
+    return _real_generate_sample(config, index, **run_inputs)
+
+
+def test_a_worker_that_dies_exits_3_naming_it(tmp_path, monkeypatch, capsys):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see a patched generate_sample only when forked")
+    monkeypatch.setattr(cli, "generate_sample", _dying_at_20)
+    out = tmp_path / "ds"
+    assert main(["generate", "--out", str(out), "--n-samples", "30", "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "worker 1 (samples 15..29) ended with exit code 1" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
 
 
@@ -438,6 +538,43 @@ def test_score_alignment_error_lists_offenders(tmp_path):
     assert "99" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad_file, field, value",
+    [("predictions", "answer_text", 7), ("references", "answer_text", 7),
+     ("predictions", "sample_id", [1])],
+    ids=["predicted-answer", "reference-answer", "predicted-id"],
+)
+def test_score_exits_3_naming_a_mistyped_field(tmp_path, capsys, bad_file, field, value):
+    config = small_config(tmp_path, n_samples=3, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    refs = Path(config.out_dir) / "train.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    write_predictions(preds, [(s.sample_id, s.answer_text) for s in read_samples(refs)])
+    bad = preds if bad_file == "predictions" else refs
+    records = [json.loads(line) for line in bad.read_text().splitlines()]
+    records[1][field] = value
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["score", "--predictions", str(preds), "--references", str(refs)]) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}, line 2" in err and f"{field} {value!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("keep, add", [(2, []), (3, [(99, "x")])], ids=["missing", "unknown"])
+def test_score_exits_1_on_an_id_mismatch(tmp_path, capsys, keep, add):
+    config = small_config(tmp_path, n_samples=3, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    refs = Path(config.out_dir) / "train.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    pairs = [(s.sample_id, s.answer_text) for s in read_samples(refs)]
+    write_predictions(preds, pairs[:keep] + add)
+    capsys.readouterr()
+    assert main(["score", "--predictions", str(preds), "--references", str(refs)]) == 1
+    err = capsys.readouterr().err
+    assert "sample id mismatch" in err and ("[2]" if keep == 2 else "[99]") in err
+    assert "Traceback" not in err
+
+
 # --- inspect / validate ------------------------------------------------------------
 
 
@@ -511,8 +648,16 @@ def _drop_first_triples_hash(record):
         (_drop_first_triples_hash, "relational context unreadable: KeyError"),
         (lambda record: record.update(context_relational=5), "relational context unreadable"),
         (lambda record: record.update(answer_memids=None), "answer_memids"),
+        (lambda record: record.update(answer_text=5), "answer_text is not a string: 5"),
+        (lambda record: record.update(query_logical_form=[]), "query_logical_form is not"),
     ],
-    ids=["triple-without-hash", "context-not-an-object", "null-answer-memids"],
+    ids=[
+        "triple-without-hash",
+        "context-not-an-object",
+        "null-answer-memids",
+        "answer-not-a-string",
+        "form-not-an-object",
+    ],
 )
 def test_validate_reports_a_malformed_record_without_a_traceback(
     tmp_path, capsys, corrupt, problem
