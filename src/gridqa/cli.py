@@ -47,6 +47,10 @@ from .serialize import (
 )
 
 SPLITS = ("train", "valid", "test")
+# the keys of a record's generation_metadata (see generate_sample)
+METADATA_KEYS = (
+    "seed", "sample_index", "sample_seed", "scene_attempt", "config_digest", "action_log"
+)
 
 
 class GenerationCapacityError(RuntimeError):
@@ -402,6 +406,10 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
         elif ids is not None and not ids.issuperset(memids):
             dangling = sorted(set(memids) - ids)
             problems.append(f"{label}: answer memids missing from context: {dangling}")
+        meta = sample.generation_metadata
+        if not isinstance(meta, dict) or not meta.keys() >= set(METADATA_KEYS):
+            keys = ", ".join(METADATA_KEYS)
+            problems.append(f"{label}: generation_metadata is not an object with keys {keys}")
         if config is not None:
             index = sample.sample_id
             # _derive_seed packs the index as a signed 64-bit integer
@@ -492,7 +500,13 @@ def main(argv=None) -> int:
             except KeyError as exc:
                 print(exc.args[0], file=sys.stderr)
                 return 1
-            print(format_dump(sample))
+            try:
+                print(format_dump(sample))
+            except (KeyError, TypeError) as exc:
+                raise DatasetIOError(
+                    f"{args.dataset}, sample {args.sample_id}: not a valid record: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             return 0
         if args.command == "validate":
             config = load_config(args.config) if args.config else None

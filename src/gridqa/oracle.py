@@ -69,8 +69,6 @@ def resolve_ref(ref: dict, snapshot: Snapshot) -> Entity:
             if e.kind == kind:
                 return e
         raise UnanswerableQueryError(f"no {kind} in snapshot")
-    if by not in ("name", "type"):
-        raise ValueError(f"unknown ref form {ref!r}")
     attr = "name" if by == "name" else "type_word"
     matches = [e for e in snapshot.entities() if getattr(e, attr) == ref["word"]]
     if len(matches) != 1:
@@ -271,8 +269,6 @@ def execute(form: QueryForm, snapshots: list[Snapshot], action_log=()) -> Answer
     AmbiguousTieError when an argmax winner leads its runner-up by less
     than TIE_MARGIN.
     """
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
     first = form.clauses[0]
     if first.spec.returns:
         value, operands = clause_match_set(first, snapshots, action_log)

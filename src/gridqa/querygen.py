@@ -503,8 +503,6 @@ KINDS = {
         _sample_distance_from_position, oracle.eval_distance_from_position, returns="location"),
 }
 
-ALL_KINDS = tuple(KINDS)
-COMBINABLE_KINDS = frozenset(k for k, spec in KINDS.items() if spec.combinable)
 # (kind, arguments the template fixes, template), in KINDS order
 TEMPLATES = tuple((k, fixed, t) for k, spec in KINDS.items() for fixed, t in spec.templates)
 
@@ -533,13 +531,9 @@ def sample_query(
     Raises UnanswerableSceneError when the attempt budget runs out;
     callers regenerate the scene.
     """
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
     classes = [c for c, w in config.class_weights.items() if w > 0]
     weights = [config.class_weights[c] for c in classes]
     query_class = rng.choices(classes, weights=weights, k=1)[0]
-    if query_class == "temporal" and len(snapshots) < 2:
-        raise ValueError("temporal queries need at least two snapshots")
 
     kinds = [k for k, spec in KINDS.items() if spec.query_class == query_class]
     combinable = [k for k in kinds if KINDS[k].combinable]

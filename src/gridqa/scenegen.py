@@ -31,10 +31,6 @@ PLACEMENT_RETRIES = 100
 Ranges = tuple[tuple[int, int], ...]
 
 
-class UnknownShapeError(ValueError):
-    """Raised for a shape word outside the catalog."""
-
-
 class SceneCapacityError(RuntimeError):
     """Raised when collision-free placement fails after bounded retries."""
 
@@ -180,13 +176,6 @@ _SHAPES = {
 SHAPES = tuple(_SHAPES)
 
 
-def _shape(name: str) -> Shape:
-    try:
-        return _SHAPES[name]
-    except KeyError:
-        raise UnknownShapeError(f"unknown shape {name!r}") from None
-
-
 def _params_key(params: dict) -> tuple:
     """A hashable form of shape params: list values become tuples."""
     return tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in params.items())
@@ -196,7 +185,7 @@ def _params_key(params: dict) -> tuple:
 # generator only asks for the few values sample_shape_params draws.
 @functools.cache
 def _template(shape: str, params_key: tuple) -> frozenset[Cell]:
-    return frozenset(_shape(shape).build(dict(params_key)))
+    return frozenset(_SHAPES[shape].build(dict(params_key)))
 
 
 @functools.cache
@@ -221,16 +210,18 @@ def placement(shape: str, size_params: dict, size: int) -> tuple[frozenset[Cell]
 
 def sample_shape_params(shape: str, rng: random.Random) -> dict:
     """Draw small size parameters for a shape, suitable for a 15-cell world."""
-    return _shape(shape).sample(rng)
+    return _SHAPES[shape].sample(rng)
 
 
 # --- pools ------------------------------------------------------------------
 
 
 def _load_words(path: Path) -> tuple[str, ...]:
-    words = tuple(
-        w.strip().lower() for w in path.read_text(encoding="utf-8").splitlines() if w.strip()
-    )
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"pool file {path} is not UTF-8: {exc}") from exc
+    words = tuple(w.strip().lower() for w in text.splitlines() if w.strip())
     if not words:
         raise ConfigError(f"empty pool file: {path}")
     bad = [w for w in words if not is_query_word(w)]

@@ -83,8 +83,6 @@ def section_lines(snapshot: Snapshot) -> list[str]:
 
 def render_text_context(snapshots: list[Snapshot], rng: random.Random) -> str:
     """Flatten snapshots into the templated text dump."""
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
     sections = []
     for snapshot in snapshots:
         lines = section_lines(snapshot)
@@ -139,8 +137,6 @@ def render_relational_context(snapshots: list[Snapshot]) -> str:
     per call, as is each memid's text; entity nodes are formatted once
     per snapshot.
     """
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
     hexes = _Hexes()
     blocks: dict[BlockObject, tuple[str, str]] = {}
     tails_of: dict[Triple, str] = {}

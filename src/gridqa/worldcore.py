@@ -33,20 +33,11 @@ AGENT = "agent"
 PLAYER = "player"
 NPC = "npc"
 
-PREDICATES = ("has_name", "has_tag", "has_colour", "has_type")
 # predicates whose object words count as "properties" of an object
 PROPERTY_PREDICATES = ("has_tag", "has_colour", "has_type")
 
 Cell = tuple[int, int, int]
 Vec3 = tuple[float, float, float]
-
-
-class UnknownMemidError(KeyError):
-    """Raised when a memid does not resolve in the queried snapshot."""
-
-
-class SnapshotOrderError(ValueError):
-    """Raised when snapshots are requested with non-increasing time indices."""
 
 
 _pack_memid_key = struct.Struct("<qq").pack
@@ -192,10 +183,7 @@ class Snapshot:
         return {obj.memid: obj for obj in self.reference_objects}
 
     def lookup(self, memid: int) -> RefObject:
-        try:
-            return self._by_memid[memid]
-        except KeyError:
-            raise UnknownMemidError(memid) from None
+        return self._by_memid[memid]
 
     def has_memid(self, memid: int) -> bool:
         return memid in self._by_memid
@@ -241,7 +229,6 @@ class WorldState:
     triples: list[Triple] = field(default_factory=list)
     action_log: list[ActionRecord] = field(default_factory=list)
     _memid_counter: int = 0
-    _last_snapshot_time: int = -1
 
     def new_memid(self) -> int:
         memid = derive_memid(self.seed, self._memid_counter)
@@ -267,8 +254,6 @@ class WorldState:
         return entity
 
     def add_block(self, shape: str, color: str, voxels: frozenset[Cell]) -> BlockObject:
-        if not voxels:
-            raise ValueError("block object needs at least one voxel")
         block = BlockObject(self.new_memid(), shape, color, voxels)
         self.block_objects.append(block)
         self.add_triple(block.memid, "has_tag", shape)
@@ -276,8 +261,6 @@ class WorldState:
         return block
 
     def add_triple(self, subject_memid: int, predicate: str, object_text: str) -> Triple:
-        if predicate not in PREDICATES:
-            raise ValueError(f"unknown predicate {predicate!r}")
         triple = Triple(self.new_memid(), subject_memid, predicate, object_text)
         self.triples.append(triple)
         return triple
@@ -307,15 +290,10 @@ class WorldState:
 def take_snapshot(world: WorldState, time_index: int) -> Snapshot:
     """Freeze the current world into an immutable snapshot.
 
-    time_index must exceed every previously snapshotted index for this
-    world. Mutating the world afterwards never changes the snapshot.
+    The caller takes a world's snapshots at strictly increasing time
+    indices (run_episode uses schedule_snapshots); nothing checks it.
+    Mutating the world afterwards never changes the snapshot.
     """
-    if time_index <= world._last_snapshot_time:
-        raise SnapshotOrderError(
-            f"snapshot time {time_index} not after previous "
-            f"{world._last_snapshot_time}"
-        )
-    world._last_snapshot_time = time_index
     objects: list[RefObject] = [Entity(**vars(e)) for e in world.entities]
     objects.extend(world.block_objects)
     # memids are below 2**64, so the integer order is the order of memid_hex

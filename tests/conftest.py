@@ -6,12 +6,7 @@ import pytest
 
 from gridqa import GenConfig
 from gridqa.dynamics import run_episode
-from gridqa.querygen import (
-    COMBINABLE_KINDS,
-    Clause,
-    QueryForm,
-    allowed_return_types,
-)
+from gridqa.querygen import KINDS, Clause, QueryForm, allowed_return_types
 from gridqa.scenegen import ScenePools
 from gridqa.worldcore import AGENT, NPC, PLAYER, BlockObject, Pose, WorldState, take_snapshot
 
@@ -93,10 +88,8 @@ def _random_threshold(rng: random.Random) -> float:
 
 
 def random_clause(rng: random.Random, kind: str | None = None) -> Clause:
-    from gridqa.querygen import ALL_KINDS
-
-    kind = kind or rng.choice(ALL_KINDS)
-    negated = kind in COMBINABLE_KINDS and rng.random() < 0.3
+    kind = kind or rng.choice(tuple(KINDS))
+    negated = KINDS[kind].combinable and rng.random() < 0.3
     point = [rng.randint(0, 14) for _ in range(3)]
     frame, side = rng.choice(("my", "your")), rng.choice(("left", "right", "front", "back"))
     args_by_kind = {
@@ -135,7 +128,7 @@ def random_clause(rng: random.Random, kind: str | None = None) -> Clause:
 
 def random_form(rng: random.Random) -> QueryForm:
     """Random valid QueryForm over synthetic argument pools."""
-    combinable = sorted(COMBINABLE_KINDS)
+    combinable = sorted(k for k, spec in KINDS.items() if spec.combinable)
     if rng.random() < 0.4:
         clauses = (random_clause(rng, rng.choice(combinable)), random_clause(rng, rng.choice(combinable)))
         op = rng.choice(("and", "or"))

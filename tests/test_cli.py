@@ -588,6 +588,24 @@ def test_inspect_dump_contains_query_and_seed(tmp_path):
     assert sample.answer_text in dump
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("generation_metadata", {}), ("generation_metadata", None), ("answer_memids", [1, 2])],
+    ids=["empty-metadata", "null-metadata", "int-memids"],
+)
+def test_inspect_exits_3_naming_a_malformed_record(tmp_path, capsys, field, value):
+    config = small_config(tmp_path, n_samples=2, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    path = Path(config.out_dir) / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1][field] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["inspect", "--dataset", str(path), "--sample-id", "1"]) == 3
+    captured = capsys.readouterr()
+    assert f"{path}, sample 1: not a valid record" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_validate_accepts_emitted_dataset(tmp_path):
     config = small_config(tmp_path, n_samples=12, split_train=1.0, split_valid=0.0, split_test=0.0)
     generate(config)
@@ -650,6 +668,8 @@ def _drop_first_triples_hash(record):
         (lambda record: record.update(answer_memids=None), "answer_memids"),
         (lambda record: record.update(answer_text=5), "answer_text is not a string: 5"),
         (lambda record: record.update(query_logical_form=[]), "query_logical_form is not"),
+        (lambda record: record.update(generation_metadata={}), "generation_metadata is not"),
+        (lambda record: record.update(generation_metadata=None), "generation_metadata is not"),
     ],
     ids=[
         "triple-without-hash",
@@ -657,6 +677,8 @@ def _drop_first_triples_hash(record):
         "null-answer-memids",
         "answer-not-a-string",
         "form-not-an-object",
+        "empty-metadata",
+        "null-metadata",
     ],
 )
 def test_validate_reports_a_malformed_record_without_a_traceback(
@@ -760,6 +782,23 @@ def test_truncated_jsonl_exits_3_naming_file_and_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{bad}, line" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate --config", "validate --config", "names_file"])
+def test_a_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.txt"
+    # a latin-1 name pool, or a config file holding byte 0xff
+    bad.write_bytes("zoë\n".encode("latin-1") if command == "names_file" else b"seed = 1\xff\n")
+    out = tmp_path / "out"
+    argv = {
+        "generate --config": ["generate", "--config", str(bad), "--out", str(out)],
+        "validate --config": ["validate", "--dataset", str(tmp_path / "x.jsonl"), "--config", str(bad)],
+        "names_file": ["generate", "--out", str(out), "--set", f"names_file={bad}"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "utf-8" in err.lower()
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):

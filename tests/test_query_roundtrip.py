@@ -11,7 +11,6 @@ import pytest
 
 from gridqa.querygen import (
     AXES,
-    COMBINABLE_KINDS,
     COMPARATORS,
     FRAMES,
     KINDS,
@@ -65,7 +64,7 @@ def forms(draw, kind):
     if op is None:
         parts = (first,)
     else:
-        other = draw(st.sampled_from(sorted(COMBINABLE_KINDS)))
+        other = draw(st.sampled_from(sorted(k for k, spec in KINDS.items() if spec.combinable)))
         parts = draw(st.permutations([first, draw(clauses(other))]))
     return_type = draw(st.sampled_from(allowed_return_types(tuple(parts), op)))
     return QueryForm(clauses=tuple(parts), return_type=return_type, op=op)

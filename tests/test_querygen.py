@@ -7,8 +7,6 @@ import pytest
 from conftest import make_episode, random_form
 from gridqa import GenConfig
 from gridqa.querygen import (
-    ALL_KINDS,
-    COMBINABLE_KINDS,
     HEADS,
     KINDS,
     TEMPLATES,
@@ -24,6 +22,7 @@ from gridqa.querygen import (
 from gridqa.dynamics import TASK_KINDS
 from gridqa.scenegen import SHAPES
 
+COMBINABLE_KINDS = frozenset(k for k, spec in KINDS.items() if spec.combinable)
 STANDALONE_KINDS = frozenset(k for k, spec in KINDS.items() if not spec.combinable)
 ARGMAX_KINDS = frozenset(k for k, spec in KINDS.items() if spec.argmax)
 
@@ -230,17 +229,8 @@ def test_sampler_is_deterministic():
     assert a == b
 
 
-def test_temporal_queries_need_two_snapshots():
-    config = GenConfig(
-        weight_property=0.0, weight_temporal=1.0, weight_geometric=0.0
-    )
-    _, snapshots = make_episode(1, GenConfig.properties_mode())
-    with pytest.raises(ValueError):
-        sample_query(snapshots, config, random.Random(0))
-
-
 def test_kind_catalog_is_complete():
-    assert len(ALL_KINDS) == 15
+    assert len(KINDS) == 15
     assert STANDALONE_KINDS == {
         "farthest_moved",
         "location_at_time",

@@ -15,7 +15,6 @@ from gridqa.scenegen import (
     SHAPES,
     SceneCapacityError,
     ScenePools,
-    UnknownShapeError,
     build_scene,
     default_names,
     make_shape,
@@ -79,9 +78,9 @@ def test_make_shape_translates_to_origin():
 
 
 def test_unknown_shape_raises():
-    with pytest.raises(UnknownShapeError):
+    with pytest.raises(KeyError):
         make_shape("dodecahedron", {"size": 2}, (0, 0, 0))
-    with pytest.raises(UnknownShapeError):
+    with pytest.raises(KeyError):
         sample_shape_params("dodecahedron", random.Random(0))
 
 
@@ -322,6 +321,8 @@ def drawable_params(shape):
 def test_cached_placement_matches_a_fresh_build(shape):
     for params in drawable_params(shape):
         fresh = enumerate_shape(shape, params)
+        # add_block takes a nonempty voxel set on trust
+        assert fresh, f"{shape} {params} has no cells"
         assert make_shape(shape, params, (0, 0, 0)) == fresh
         for size in (4, 15):
             template, ranges = placement(shape, params, size)
