@@ -97,11 +97,11 @@ def generate_sample(
         sample_seed = _derive_seed(config.seed, index, attempt, b"scene")
         rng = random.Random(sample_seed)
         try:
-            world, snapshots = run_episode(config, rng, pools)
+            action_log, snapshots = run_episode(config, rng, pools)
         except SceneCapacityError:
             continue
         try:
-            form, query_text, answer = sample_query(snapshots, config, rng, world.action_log)
+            form, query_text, answer = sample_query(snapshots, config, rng, action_log)
         except UnanswerableSceneError:
             continue
         logical_form = form.to_dict()
@@ -121,7 +121,7 @@ def generate_sample(
                     "sample_seed": sample_seed,
                     "scene_attempt": attempt,
                     "config_digest": config_digest,
-                    "action_log": [rec.to_json() for rec in world.action_log],
+                    "action_log": action_log,
                 },
                 "format_version": FORMAT_VERSION,
             }
@@ -302,14 +302,20 @@ def score(predictions_path: str | Path, references_path: str | Path) -> dict:
 
     Predictions are JSONL records with sample_id and answer_text.
     Token sequences are compared after whitespace normalization; the
-    report includes a per-class breakdown.
+    report includes a per-class breakdown. Raises AlignmentError when a
+    file repeats a sample_id or the two files hold different ids.
     """
     references = read_jsonl(
-        references_path, lambda record: (Sample.from_record(record).query_class, *_scored(record))
+        references_path, lambda record: (*_scored(record), Sample.from_record(record).query_class)
     )
-    predictions = dict(read_jsonl(predictions_path, _scored))
+    scored = read_jsonl(predictions_path, _scored)
+    for path, rows in ((references_path, references), (predictions_path, scored)):
+        repeated = sorted(i for i, n in Counter(row[0] for row in rows).items() if n > 1)
+        if repeated:
+            raise AlignmentError(f"{path}: repeated sample ids {repeated[:10]}")
+    predictions = dict(scored)
 
-    ref_ids = {sample_id for _, sample_id, _ in references}
+    ref_ids = {sample_id for sample_id, _, _ in references}
     missing = sorted(ref_ids - set(predictions))
     extra = sorted(set(predictions) - ref_ids)
     if missing or extra:
@@ -320,7 +326,7 @@ def score(predictions_path: str | Path, references_path: str | Path) -> dict:
 
     per_class: dict[str, dict] = {}
     wrong_total = 0
-    for query_class, sample_id, answer in references:
+    for sample_id, answer, query_class in references:
         wrong = int(predictions[sample_id] != answer)
         wrong_total += wrong
         bucket = per_class.setdefault(query_class, {"n": 0, "wrong": 0})

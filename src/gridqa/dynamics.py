@@ -19,7 +19,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .worldcore import ActionRecord, Entity, Pose, Vec3, WorldState, memid_hex
+from .worldcore import Entity, Pose, Vec3, WorldState, memid_hex
 from . import scenegen, worldcore
 
 TASK_KINDS = ("move", "build", "destroy", "dig", "follow")
@@ -45,16 +45,19 @@ class Task(NamedTuple):
     duration: int
     start_step: int = 0
 
-    def log_parameters(self) -> dict:
-        out = {}
-        for key, value in self.parameters.items():
-            if key == "target_memid":
-                out[key] = memid_hex(value)
-            elif isinstance(value, tuple):
-                out[key] = list(value)
-            else:
-                out[key] = value
-        return out
+    def log_entry(self, actor_memid: int) -> dict:
+        """The task as an action_log entry, run by the entity actor_memid.
+
+        json.dumps writes its tuples as lists, as FORMAT.md shows them."""
+        parameters = dict(self.parameters)
+        if "target_memid" in parameters:
+            parameters["target_memid"] = memid_hex(parameters["target_memid"])
+        return {
+            "actor": memid_hex(actor_memid),
+            "action": self.kind,
+            "parameters": parameters,
+            "step_interval": [self.start_step, self.start_step + self.duration],
+        }
 
 
 def schedule_snapshots(total_steps: int, n_snapshots: int) -> list[int]:
@@ -142,17 +145,7 @@ def step_world(
             s[3] = dx
             s[4] = dz
         if start <= world.clock < end:
-            is_final = world.clock == end - 1
-            _apply_task_step(world, task, is_final, walkers)
-            if is_final:
-                world.action_log.append(
-                    ActionRecord(
-                        actor_memid=world.agent().memid,
-                        action_name=task.kind,
-                        parameters=task.log_parameters(),
-                        step_interval=(start, end),
-                    )
-                )
+            _apply_task_step(world, task, world.clock == end - 1, walkers)
         world.clock += 1
     for npc, (x, y, z, dx, dz) in zip(npcs, walkers.values()):
         if dx is not None:
@@ -196,37 +189,22 @@ def sample_task(
         return None
 
     if kind in ("build", "dig"):
-        taken = set()
-        for block in world.block_objects:
-            taken |= set(block.voxels)
+        taken = set().union(*(block.voxels for block in world.block_objects))
         shape = "hole" if kind == "dig" else rng.choice(
             [s for s in scenegen.SHAPES if s != "hole"]
         )
-        for _ in range(20):
-            params = scenegen.sample_shape_params(shape, rng)
-            _, ranges = scenegen.placement(shape, params, world.world_size)
-            if ranges is None:
-                continue
-            ox = rng.randint(*ranges[0])
-            oy = ranges[1][0] if kind == "dig" else rng.randint(*ranges[1])
-            oz = rng.randint(*ranges[2])
-            voxels = scenegen.make_shape(shape, params, (ox, oy, oz))
-            if voxels & taken:
-                continue
-            duration = max(1, min(len(voxels), total_steps))
-            start = rng.randint(0, total_steps - duration)
-            color = rng.choice(pools.colors)
-            if kind == "dig":
-                task_params = {"size": params["size"], "origin": (ox, oy, oz), "color": color}
-            else:
-                task_params = {
-                    "shape": shape,
-                    "shape_params": params,
-                    "origin": (ox, oy, oz),
-                    "color": color,
-                }
-            return Task(kind, task_params, duration=duration, start_step=start)
-        return None
+        spot = scenegen.place_block(shape, taken, world.world_size, rng)
+        if spot is None:
+            return None
+        params, origin, voxels = spot
+        duration = max(1, min(len(voxels), total_steps))
+        start = rng.randint(0, total_steps - duration)
+        color = rng.choice(pools.colors)
+        if kind == "dig":
+            task_params = {"size": params["size"], "origin": origin, "color": color}
+        else:
+            task_params = {"shape": shape, "shape_params": params, "origin": origin, "color": color}
+        return Task(kind, task_params, duration=duration, start_step=start)
 
     if kind == "destroy":
         block = rng.choice(world.block_objects)
@@ -244,8 +222,10 @@ def sample_task(
 def run_episode(config, rng: random.Random, pools: scenegen.ScenePools):
     """Build a scene from pools and step it through its snapshot schedule.
 
-    Returns (world, snapshots): the final world state (holding the
-    action log) and the recorded snapshots in time order.
+    Returns (action_log, snapshots): the log entry of the task the agent
+    ran, or [] when it ran none, and the recorded snapshots in time order.
+    A sampled task ends by world_steps, so it runs whenever the schedule
+    steps the world at all; with one snapshot nothing is stepped.
     """
     # build_scene and take_snapshot are looked up through their modules so a tracer can wrap them
     world = scenegen.build_scene(config, rng, pools)
@@ -257,4 +237,6 @@ def run_episode(config, rng: random.Random, pools: scenegen.ScenePools):
         step_world(world, t - current, task, rng)
         current = t
         snapshots.append(worldcore.take_snapshot(world, t))
-    return world, snapshots
+    if task is None or current == 0:
+        return [], snapshots
+    return [task.log_entry(world.agent().memid)], snapshots

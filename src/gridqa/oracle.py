@@ -202,7 +202,7 @@ def eval_location_at_time(args, snapshots, action_log):
 
 
 def eval_action(args, snapshots, action_log):
-    value = action_log[-1].action_name if action_log else "nothing"
+    value = action_log[-1]["action"] if action_log else "nothing"
     return value, (_frame_owner("your", snapshots[-1]).memid,)
 
 
@@ -256,9 +256,7 @@ def format_answer(value, return_type: str) -> str:
         return str(quantized)
     if return_type == "count":
         return str(int(value))
-    if return_type == "action_name":
-        return str(value)
-    raise ValueError(f"unknown return type {return_type!r}")
+    return str(value)  # action_name
 
 
 def execute(form: QueryForm, snapshots: list[Snapshot], action_log=()) -> Answer:
@@ -290,34 +288,27 @@ def execute(form: QueryForm, snapshots: list[Snapshot], action_log=()) -> Answer
             result &= memids
         else:
             result |= memids
-    assert result is not None
 
     objects = [last.lookup(m) for m in result]
+    answer_objs = set(result)
     if form.return_type == "name":
         named = [o for o in objects if isinstance(o, Entity)]
         if not named:
             raise UnanswerableQueryError("no named object in answer set")
         value = {o.name for o in named}
         answer_objs = {o.memid for o in named}
+    elif form.return_type == "count":
+        value = len(result)
+    elif not objects:
+        raise UnanswerableQueryError("empty answer set")
     elif form.return_type == "tag":
-        if not objects:
-            raise UnanswerableQueryError("empty answer set")
         value = {
             t.object_text
             for t in last.triples
             if t.subject_memid in result and t.predicate in PROPERTY_PREDICATES
         }
-        answer_objs = set(result)
-    elif form.return_type == "location":
-        if not objects:
-            raise UnanswerableQueryError("empty answer set")
+    else:  # location
         value = [object_position(o) for o in objects]
-        answer_objs = set(result)
-    elif form.return_type == "count":
-        value = len(result)
-        answer_objs = set(result)
-    else:
-        raise ValueError(f"return type {form.return_type!r} invalid for filter queries")
 
     text = format_answer(value, form.return_type)
     relevant = {memid_hex(m) for m in answer_objs}

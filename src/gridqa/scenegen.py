@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -148,7 +149,7 @@ class Shape(NamedTuple):
 # build_scene draws shapes with rng.choice(SHAPES), so this order is part
 # of the output
 _SHAPES = {
-    # a cavity carved out of the ground; _place_block puts it on the floor
+    # a cavity carved out of the ground; place_block puts it on the floor
     "hole": Shape(
         lambda p: _box(*p["size"]),
         lambda rng: {"size": [rng.randint(2, 3), rng.randint(1, 2), rng.randint(2, 3)]},
@@ -248,9 +249,17 @@ class ScenePools:
     @classmethod
     def from_config(cls, config: "GenConfig") -> "ScenePools":
         """Read the pools config names. Raises ConfigError for a pool file that
-        is empty or holds a word queries cannot carry, and for a name pool
-        smaller than n_npcs + 2."""
-        names = _load_words(Path(config.names_file)) if config.names_file else default_names()
+        is empty or holds a word queries cannot carry, for a name pool that
+        repeats a name, and for one with fewer than n_npcs + 2 names."""
+        if config.names_file:
+            names = _load_words(Path(config.names_file))
+            repeated = [name for name, n in Counter(names).items() if n > 1]
+            if repeated:
+                raise ConfigError(
+                    f"names_file {config.names_file}: {repeated[0]!r} appears more than once"
+                )
+        else:
+            names = default_names()
         if config.n_npcs + 2 > len(names):
             raise ConfigError(
                 f"names_file {config.names_file or '(packaged pool)'}: {len(names)} names, "
@@ -330,26 +339,25 @@ def origin_ranges(template: frozenset[Cell], size: int) -> Ranges | None:
     return tuple(ranges)
 
 
-def _place_block(
-    world: WorldState, shape: str, taken: set[Cell], rng: random.Random
-) -> frozenset[Cell]:
-    size = world.world_size
+def place_block(
+    shape: str, taken: set[Cell], size: int, rng: random.Random
+) -> tuple[dict, Cell, frozenset[Cell]] | None:
+    """Draw params and an origin for shape until its cells fit in a size^3
+    world clear of taken: (params, origin, cells), or None after
+    PLACEMENT_RETRIES tries. Each try draws params, then the origin's y,
+    x and z; a hole sits on the floor, so it takes no y draw."""
     for _ in range(PLACEMENT_RETRIES):
-        template, ranges = placement(shape, sample_shape_params(shape, rng), size)
+        params = sample_shape_params(shape, rng)
+        template, ranges = placement(shape, params, size)
         if ranges is None:
             continue
-        # holes sit at the world floor, carved into the ground plane
         oy = ranges[1][0] if shape == "hole" else rng.randint(*ranges[1])
         ox = rng.randint(*ranges[0])
         oz = rng.randint(*ranges[2])
-        voxels = frozenset([(x + ox, y + oy, z + oz) for x, y, z in template])
-        if voxels & taken:
-            continue
-        taken.update(voxels)
-        return voxels
-    raise SceneCapacityError(
-        f"could not place a {shape} in a {size}^3 world after {PLACEMENT_RETRIES} tries"
-    )
+        cells = frozenset([(x + ox, y + oy, z + oz) for x, y, z in template])
+        if cells.isdisjoint(taken):
+            return params, (ox, oy, oz), cells
+    return None
 
 
 def build_scene(config: "GenConfig", rng: random.Random, pools: ScenePools) -> WorldState:
@@ -364,16 +372,22 @@ def build_scene(config: "GenConfig", rng: random.Random, pools: ScenePools) -> W
 
     n_blocks = rng.randint(config.n_blocks_min, config.n_blocks_max)
     block_specs = [rng.choice(SHAPES) for _ in range(n_blocks)]
+    size = config.world_size
     block_cells: set[Cell] = set()
     placed = []
     for shape in block_specs:
-        voxels = _place_block(world, shape, block_cells, rng)
+        spot = place_block(shape, block_cells, size, rng)
+        if spot is None:
+            raise SceneCapacityError(
+                f"could not place a {shape} in a {size}^3 world after {PLACEMENT_RETRIES} tries"
+            )
+        voxels = spot[2]
+        block_cells |= voxels
         placed.append((shape, rng.choice(pools.colors), voxels))
 
     names = _draw_names(pools.names, config.n_npcs + 2, rng)
     occupied: set[Cell] = set()
     randbelow = rng._randbelow
-    size = config.world_size
     world.add_entity(
         AGENT, names[0], rng.choice(pools.colors),
         _random_pose(size, occupied, block_cells, randbelow),

@@ -271,7 +271,9 @@ def read_jsonl(path: str | Path, build) -> list:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # only "\n" ends a line: str.splitlines also breaks at U+2028 and
+        # other separators that json.dumps(ensure_ascii=False) leaves in strings
+        lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIOError(f"failed reading {path}: {exc}") from exc
     out = []

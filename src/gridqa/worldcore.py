@@ -160,9 +160,7 @@ def horizontal_direction(pose: Pose, side: str) -> Vec3:
         return (-front[0], 0.0, -front[2])
     if side == "right":
         return right
-    if side == "left":
-        return (-right[0], 0.0, -right[2])
-    raise ValueError(f"unknown side {side!r}")
+    return (-right[0], 0.0, -right[2])  # left
 
 
 @dataclass(frozen=True)
@@ -196,28 +194,6 @@ class Snapshot:
 
 
 @dataclass
-class ActionRecord:
-    """Generator-side log of an executed agent task.
-
-    Never serialized into the context text or graph; only the dataset
-    metadata and the action-query ground truth read it.
-    """
-
-    actor_memid: int
-    action_name: str
-    parameters: dict
-    step_interval: tuple[int, int]
-
-    def to_json(self) -> dict:
-        return {
-            "actor": memid_hex(self.actor_memid),
-            "action": self.action_name,
-            "parameters": self.parameters,
-            "step_interval": list(self.step_interval),
-        }
-
-
-@dataclass
 class WorldState:
     """Mutable simulation state. Single writer; snapshots are immutable."""
 
@@ -227,7 +203,6 @@ class WorldState:
     entities: list[Entity] = field(default_factory=list)
     block_objects: list[BlockObject] = field(default_factory=list)
     triples: list[Triple] = field(default_factory=list)
-    action_log: list[ActionRecord] = field(default_factory=list)
     _memid_counter: int = 0
 
     def new_memid(self) -> int:

@@ -35,11 +35,9 @@ def pools_for(config: GenConfig) -> ScenePools:
 
 
 def make_episode(seed: int, config: GenConfig | None = None):
-    """Scene + stepped snapshots for oracle-level tests."""
+    """(action_log, snapshots) of a stepped scene, for oracle-level tests."""
     config = config or GenConfig()
-    rng = random.Random(seed)
-    world, snapshots = run_episode(config, rng, pools_for(config))
-    return world, snapshots
+    return run_episode(config, random.Random(seed), pools_for(config))
 
 
 def snapshot_blocks(snap) -> list[BlockObject]:

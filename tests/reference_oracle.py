@@ -196,7 +196,7 @@ def value_query(form, snapshots, action_log):
     kind, args = clause["kind"], clause["args"]
     last = snapshots[-1]
     if kind == "action":
-        return action_log[-1].action_name if action_log else "nothing"
+        return action_log[-1]["action"] if action_log else "nothing"
     if kind == "location_at_time":
         snap = snapshots[0] if args["time"] == "beginning" else last
         return fmt_loc(pos(deref(args["ref"], snap)))

@@ -450,9 +450,9 @@ def test_value_that_does_not_round_trip_exits_1_before_any_output(tmp_path, caps
 # sha256 over train, valid and test (in that order) for 30 samples at seed 7.
 # A deliberate change of the output bumps these and says why in CHANGES.md.
 GOLDEN_FINGERPRINTS = {
-    "default": "49e4d2aaf373ca28c1eafc7bb0e63d69a9bc915d7f44dd9b8d7f68639792775b",
+    "default": "b71390be733365b99a1c96d9a6a91756c66f4f0257d8a85aceea10bb4ad11252",
     "properties": "4f3d5fb051a8adb71f4d830d74065e0f093626d98e1c138329ad07a235a8a130",
-    "custom-names": "8cf6317ef7518d637244ba070db1032147fad6c32a5d295107653c2bd18f32e4",
+    "custom-names": "8a9e15f04ce646fed541f298e559fb2fa53f1fdec226e5311d73cb3a8222d8cb",
 }
 # nine names: the name draw runs on a pool other than the packaged one, and
 # config_digest hashes a pool file
@@ -572,6 +572,45 @@ def test_score_exits_1_on_an_id_mismatch(tmp_path, capsys, keep, add):
     assert main(["score", "--predictions", str(preds), "--references", str(refs)]) == 1
     err = capsys.readouterr().err
     assert "sample id mismatch" in err and ("[2]" if keep == 2 else "[99]") in err
+    assert "Traceback" not in err
+
+
+def test_score_reads_line_separators_inside_an_answer(tmp_path, capsys):
+    # json.dumps(ensure_ascii=False) leaves these raw in a string; only "\n" ends a line
+    config = small_config(tmp_path, n_samples=4, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    refs = Path(config.out_dir) / "train.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    with open(preds, "w", encoding="utf-8") as f:
+        for s in read_samples(refs):
+            answer = s.answer_text + "\u2028\u2029\x85\x1c\x1d\x1e"
+            record = {"sample_id": s.sample_id, "answer_text": answer}
+            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+    capsys.readouterr()
+    assert main(["score", "--predictions", str(preds), "--references", str(refs)]) == 0
+    assert json.loads(capsys.readouterr().out)["exact_match_error"] == 0.0
+
+
+@pytest.mark.parametrize("repeated_in", ["predictions", "references"])
+def test_score_exits_1_naming_a_repeated_sample_id(tmp_path, capsys, repeated_in):
+    # a right answer then a wrong one for the same id: neither may win silently
+    config = small_config(tmp_path, n_samples=3, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    refs = Path(config.out_dir) / "train.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    pairs = [(s.sample_id, s.answer_text) for s in read_samples(refs)]
+    if repeated_in == "predictions":
+        write_predictions(preds, pairs + [(pairs[1][0], "surely wrong")])
+    else:
+        write_predictions(preds, pairs)
+        second = refs.read_text(encoding="utf-8").split("\n")[1]
+        with open(refs, "a", encoding="utf-8") as f:
+            f.write(second + "\n")
+    capsys.readouterr()
+    assert main(["score", "--predictions", str(preds), "--references", str(refs)]) == 1
+    err = capsys.readouterr().err
+    bad = preds if repeated_in == "predictions" else refs
+    assert f"{bad}: repeated sample ids [{pairs[1][0]}]" in err
     assert "Traceback" not in err
 
 
@@ -829,3 +868,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["generate", "--out", str(out), "--set", f"names_file={pool}"]) == 1
     assert not out.exists()
     assert "n_npcs" in capsys.readouterr().err
+
+
+def test_a_name_pool_that_repeats_a_name_exits_1_naming_it(tmp_path, capsys):
+    # seven lines are enough for n_npcs = 4, but only two distinct names
+    pool, out = tmp_path / "names.txt", tmp_path / "out"
+    pool.write_text("ada\n" * 6 + "bob\n", encoding="utf-8")
+    assert main(["generate", "--out", str(out), "--set", f"names_file={pool}"]) == 1
+    err = capsys.readouterr().err
+    assert f"names_file {pool}: 'ada' appears more than once" in err
+    assert "Traceback" not in err and not out.exists()

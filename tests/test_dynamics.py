@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 import random
 
 import pytest
 
-from conftest import make_episode, minimal_world, pools_for, simple_world
+from conftest import make_episode, minimal_world, pools_for, simple_world, snapshot_blocks
 from gridqa import GenConfig
 from gridqa import dynamics, scenegen
 from gridqa.config import ConfigError
@@ -28,7 +29,6 @@ from gridqa.worldcore import (
     AGENT,
     NPC,
     PLAYER,
-    ActionRecord,
     Pose,
     take_snapshot,
 )
@@ -79,7 +79,6 @@ def test_move_task_reaches_target():
     step_world(world, 60, task, random.Random(0))
     agent = world.agent()
     assert math.dist(agent.pose.position, target) <= 0.5
-    assert world.action_log and world.action_log[-1].action_name == "move"
 
 
 def test_build_task_creates_cube_of_27_voxels():
@@ -168,34 +167,32 @@ def test_stepping_is_deterministic():
 
 def test_run_episode_snapshot_times():
     config = GenConfig()
-    world, snapshots = make_episode(seed=13, config=config)
+    _, snapshots = make_episode(seed=13, config=config)
     assert [s.time_index for s in snapshots] == [0, 50]
-    assert world.clock == 50
 
     props = GenConfig.properties_mode()
-    world, snapshots = make_episode(seed=13, config=props)
+    action_log, snapshots = make_episode(seed=13, config=props)
     assert [s.time_index for s in snapshots] == [0]
-    assert world.clock == 0
-    assert not world.action_log
+    assert not action_log
 
 
 def test_action_log_interval_within_episode():
     for seed in range(30):
-        world, _ = make_episode(seed)
-        for record in world.action_log:
-            start, end = record.step_interval
+        action_log, _ = make_episode(seed)
+        for record in action_log:
+            start, end = record["step_interval"]
             assert 0 <= start < end <= 50
-            assert record.action_name in ("move", "build", "destroy", "dig", "follow")
+            assert record["action"] in ("move", "build", "destroy", "dig", "follow")
 
 
 
 # sha256(json.dumps(action logs, sort_keys=True)) prefix over the default
 # episodes at seeds 0-199: pins every draw sample_task makes
-TASK_DRAW_DIGEST = "13655e65cbfddc0b"
+TASK_DRAW_DIGEST = "cadfdf2893149859"
 
 
 def test_task_draws_are_pinned():
-    logs = [[r.to_json() for r in make_episode(seed)[0].action_log] for seed in range(200)]
+    logs = [make_episode(seed)[0] for seed in range(200)]
     digest = hashlib.sha256(json.dumps(logs, sort_keys=True).encode()).hexdigest()[:16]
     assert digest == TASK_DRAW_DIGEST
 
@@ -220,7 +217,7 @@ def test_sampled_tasks_meet_the_step_world_contract(preset, monkeypatch):
         task = sample_task(world, *args)
         if task is not None:
             npcs = {npc.memid for npc in world.npcs()}
-            drawn.append((task, npcs, {block.memid for block in world.block_objects}))
+            drawn.append((task, npcs, {block.memid: block.voxels for block in world.block_objects}))
         return task
 
     monkeypatch.setattr(dynamics, "sample_task", recording_sample_task)
@@ -230,14 +227,50 @@ def test_sampled_tasks_meet_the_step_world_contract(preset, monkeypatch):
         assert task.kind in TASK_KINDS
         assert set(task.parameters) == TASK_PARAMETERS[task.kind]
         assert task.duration >= 1 and task.start_step >= 0
+        # every task ends by the last step, so run_episode logs each one it draws
         assert task.start_step + task.duration <= config.world_steps
         if task.kind == "follow":
             assert task.parameters["target_memid"] in npcs
         if task.kind == "destroy":
             assert task.parameters["target_memid"] in blocks
+        if task.kind in ("build", "dig"):
+            taken = set().union(*blocks.values())
+            assert not task_block_cells(task) & taken
     # the properties preset steps no world, so it draws no task
     expected = set(TASK_KINDS) if preset == "default" else set()
     assert {task.kind for task, _, _ in drawn} == expected
+
+
+def task_block_cells(task):
+    params = task.parameters
+    if task.kind == "dig":
+        return scenegen.make_shape("hole", {"size": params["size"]}, params["origin"])
+    return scenegen.make_shape(params["shape"], params["shape_params"], params["origin"])
+
+
+def test_a_dug_hole_takes_the_lowest_origin():
+    config = GenConfig(command_prob=1.0)
+    pools = pools_for(config)
+    dug = 0
+    for seed in range(300):
+        world = build_scene(config, random.Random(seed), pools)
+        task = sample_task(world, config.world_steps, config, random.Random(seed), pools)
+        if task is not None and task.kind == "dig":
+            dug += 1
+            assert min(y for _, y, _ in task_block_cells(task)) == 0
+    assert dug > 0
+
+
+def test_no_task_block_fits_a_world_with_every_cell_taken():
+    world = minimal_world()
+    size = world.world_size
+    world.add_block("cube", "brown", frozenset(itertools.product(range(size), repeat=3)))
+    config = GenConfig(command_prob=1.0)
+    pools = pools_for(config)
+    tasks = [sample_task(world, 50, config, random.Random(seed), pools) for seed in range(100)]
+    # build and dig are drawn about half the time, and each finds no room
+    assert None in tasks
+    assert {task.kind for task in tasks if task is not None} <= {"move", "destroy"}
 
 
 def test_task_blocks_take_colours_from_the_run_pool(tmp_path):
@@ -247,9 +280,10 @@ def test_task_blocks_take_colours_from_the_run_pool(tmp_path):
     pools = pools_for(config)
     task_blocks = 0
     for seed in range(200):
-        world, _ = run_episode(config, random.Random(seed), pools)
-        assert {block.color for block in world.block_objects} <= {"red", "blue", "green"}, seed
-        task_blocks += sum(r.action_name in ("build", "dig") for r in world.action_log)
+        action_log, snapshots = run_episode(config, random.Random(seed), pools)
+        colors = {block.color for block in snapshot_blocks(snapshots[-1])}
+        assert colors <= {"red", "blue", "green"}, seed
+        task_blocks += sum(r["action"] in ("build", "dig") for r in action_log)
     assert task_blocks > 0
 
 # --- reference stepping: one Pose per NPC move -------------------------------
@@ -278,13 +312,6 @@ def reference_step_world(world, n_steps, task, rng):
             if task.start_step <= world.clock < end:
                 is_final = world.clock == end - 1
                 _reference_task_step(world, task, is_final)
-                if is_final:
-                    world.action_log.append(
-                        ActionRecord(
-                            world.agent().memid, task.kind, task.log_parameters(),
-                            (task.start_step, end),
-                        )
-                    )
         world.clock += 1
     return world
 
@@ -350,7 +377,6 @@ def _assert_same_world(got, want, time_index):
     assert world.clock == ref_world.clock
     assert rng.getstate() == ref_rng.getstate()
     assert take_snapshot(world, time_index) == take_snapshot(ref_world, time_index)
-    assert world.action_log == ref_world.action_log
 
 
 @pytest.mark.parametrize("kind", REFERENCE_KINDS)

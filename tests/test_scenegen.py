@@ -177,6 +177,17 @@ def test_capacity_error_when_world_too_small():
         build_scene(config, random.Random(0), pools)
 
 
+def test_no_block_fits_a_world_with_every_cell_taken():
+    full = {(x, y, z) for x in range(4) for y in range(4) for z in range(4)}
+    for shape in SHAPES:
+        assert scenegen.place_block(shape, full, 4, random.Random(0)) is None
+    # 64 blocks of at least 4 cells each cannot all fit in 64 cells
+    config = GenConfig(world_size=4, n_blocks_min=64, n_blocks_max=64)
+    pattern = rf"could not place a \w+ in a 4\^3 world after {PLACEMENT_RETRIES} tries"
+    with pytest.raises(SceneCapacityError, match=pattern):
+        build_scene(config, random.Random(0), pools_for(config))
+
+
 def test_default_pools():
     pools = ScenePools.from_config(GenConfig())
     assert len(pools.names) == 254

@@ -263,9 +263,9 @@ def test_relational_render_matches_the_plain_render_for_every_task_kind():
     per_kind = dict.fromkeys(TASK_KINDS, 0)
     seed = 0
     while min(per_kind.values()) < 200:
-        world, snapshots = run_episode(config, random.Random(seed), pools_for(config))
+        action_log, snapshots = run_episode(config, random.Random(seed), pools_for(config))
         seed += 1
-        kind = world.action_log[0].action_name if world.action_log else None
+        kind = action_log[0]["action"] if action_log else None
         if kind is None or per_kind[kind] >= 200:
             continue
         per_kind[kind] += 1

@@ -90,7 +90,7 @@ def test_snapshot_minimal_world():
 
 def test_snapshot_five_animate_non_agents():
     # default experimental scene: 4 NPCs plus a player plus the agent
-    world, snapshots = make_episode(seed=3, config=GenConfig())
+    _, snapshots = make_episode(seed=3, config=GenConfig())
     snap = snapshots[0]
     entities = snap.entities()
     assert len(entities) == 6
@@ -144,8 +144,8 @@ def test_referential_integrity_many_scenes():
     tasks = set()
     for config in (GenConfig(), GenConfig.properties_mode()):
         for seed in range(40):
-            world, snapshots = make_episode(seed, config)
-            tasks.update(record.action_name for record in world.action_log)
+            action_log, snapshots = make_episode(seed, config)
+            tasks.update(record["action"] for record in action_log)
             for snap in snapshots:
                 assert {t.subject_memid for t in snap.triples} <= snap.memids()
     assert tasks == set(TASK_KINDS)
@@ -174,8 +174,8 @@ def test_coordinate_typing():
 
 
 def test_entity_names_unique_within_world():
-    world, _ = make_episode(seed=5)
-    names = [e.name for e in world.entities]
+    _, snapshots = make_episode(seed=5)
+    names = [e.name for e in snapshots[-1].entities()]
     assert len(names) == len(set(names))
 
 
