@@ -305,10 +305,10 @@ def score(predictions_path: str | Path, references_path: str | Path) -> dict:
     report includes a per-class breakdown. Raises AlignmentError when a
     file repeats a sample_id or the two files hold different ids.
     """
-    references = read_jsonl(
+    references = list(read_jsonl(
         references_path, lambda record: (*_scored(record), Sample.from_record(record).query_class)
-    )
-    scored = read_jsonl(predictions_path, _scored)
+    ))
+    scored = list(read_jsonl(predictions_path, _scored))
     for path, rows in ((references_path, references), (predictions_path, scored)):
         repeated = sorted(i for i, n in Counter(row[0] for row in rows).items() if n > 1)
         if repeated:
@@ -376,15 +376,16 @@ def format_dump(sample: Sample) -> str:
 def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[str]:
     """Integrity checks for every record; returns a list of problems.
 
-    With a config, checked before any record is read (ConfigError),
-    each record must also equal its regeneration.
+    Each record is checked as it is read, so only one parsed record is
+    alive at a time. With a config, checked before any record is read
+    (ConfigError), each record must also equal its regeneration.
     """
     if config is not None:
         config.validate()
         config_digest = config.digest()
         pools = ScenePools.from_config(config)
     problems = []
-    for sample in read_samples(path):
+    for sample in read_jsonl(path, Sample.from_record):
         label = f"sample {sample.sample_id}"
         if sample.format_version != 1:
             problems.append(f"{label}: unknown format_version {sample.format_version}")

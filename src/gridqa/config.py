@@ -92,6 +92,9 @@ class GenConfig:
             raise ConfigError("query class weights must not all be zero")
         if self.weight_temporal > 0 and self.n_snapshots < 2:
             raise ConfigError("weight_temporal: temporal queries need n_snapshots >= 2")
+        if self.world_steps > 0 and self.n_snapshots < 2:
+            # one snapshot is taken before any step, so no step would run
+            raise ConfigError("world_steps: must be 0 with a single snapshot")
         for name in ("two_clause_prob", "negation_prob", "command_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -224,8 +224,9 @@ def run_episode(config, rng: random.Random, pools: scenegen.ScenePools):
 
     Returns (action_log, snapshots): the log entry of the task the agent
     ran, or [] when it ran none, and the recorded snapshots in time order.
-    A sampled task ends by world_steps, so it runs whenever the schedule
-    steps the world at all; with one snapshot nothing is stepped.
+    A sampled task ends by world_steps, and the schedule's last snapshot is
+    at world_steps, so the agent runs every task it draws. No task is drawn
+    when world_steps is 0 (GenConfig.validate() allows one snapshot only then).
     """
     # build_scene and take_snapshot are looked up through their modules so a tracer can wrap them
     world = scenegen.build_scene(config, rng, pools)
@@ -237,6 +238,6 @@ def run_episode(config, rng: random.Random, pools: scenegen.ScenePools):
         step_world(world, t - current, task, rng)
         current = t
         snapshots.append(worldcore.take_snapshot(world, t))
-    if task is None or current == 0:
+    if task is None:
         return [], snapshots
     return [task.log_entry(world.agent().memid)], snapshots

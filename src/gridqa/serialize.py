@@ -20,13 +20,17 @@ json.dumps(context, sort_keys=True) writes; the read side
 
 Dataset files are newline-delimited JSON records, one sample per line,
 with "format_version": 1: each line is json.dumps(record, sort_keys=True)
-plus a newline (ASCII, with non-ASCII escaped as \\uXXXX).
+plus a newline (ASCII, with non-ASCII escaped as \\uXXXX). read_jsonl
+reads such a file one line at a time, splitting at "\\n" only, so a caller
+that checks each record as it is read (validate) holds one parsed record
+at a time, however long the file.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
@@ -263,29 +267,32 @@ def record_line(record: dict) -> str:
     return line.replace('"context_relational": 0', context, 1) + "\n"
 
 
-def read_jsonl(path: str | Path, build) -> list:
-    """build(record) for each non-blank line of a JSONL file, in file order.
+def read_jsonl(path: str | Path, build) -> Iterator:
+    """Yield build(record) for each non-blank line of a JSONL file, in file
+    order, reading and parsing one line at a time.
 
-    Raises DatasetIOError naming the file, and the line when it is not
-    JSON or build rejects the record.
+    Only b"\\n" ends a line: a "\\r" is JSON whitespace, and U+2028 and the
+    other separators json.dumps(ensure_ascii=False) leaves raw in a string
+    stay inside it. Raises DatasetIOError naming the file, and the line when
+    it is not UTF-8 or JSON or build rejects the record. The file is closed
+    when the generator finishes or is closed.
     """
     path = Path(path)
     try:
-        # only "\n" ends a line: str.splitlines also breaks at U+2028 and
-        # other separators that json.dumps(ensure_ascii=False) leaves in strings
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
+        file = path.open("rb")
+    except OSError as exc:
         raise DatasetIOError(f"failed reading {path}: {exc}") from exc
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(build(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetIOError(f"{path}, line {lineno}: not a valid record: {exc}") from exc
-    return out
+    with file:
+        for lineno, line in enumerate(file, start=1):
+            try:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                item = build(json.loads(text))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DatasetIOError(f"{path}, line {lineno}: not a valid record: {exc}") from exc
+            yield item
 
 
 def read_samples(path: str | Path) -> list[Sample]:
-    return read_jsonl(path, Sample.from_record)
+    return list(read_jsonl(path, Sample.from_record))

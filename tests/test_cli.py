@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -101,6 +102,17 @@ def test_config_validation_messages_name_fields():
         GenConfig(split_train=0.9, split_valid=0.2, split_test=0.1).validate()
     with pytest.raises(ConfigError, match="weights"):
         GenConfig(weight_property=0, weight_temporal=0, weight_geometric=0).validate()
+
+
+def test_a_stepped_world_with_one_snapshot_exits_1_naming_world_steps(tmp_path, capsys):
+    # the only snapshot is taken before any step, so world_steps would only draw a task
+    out = tmp_path / "out"
+    argv = ["generate", "--out", str(out), "--n-samples", "3", "--set", "world_steps=10",
+            "--set", "n_snapshots=1", "--set", "weight_temporal=0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "world_steps" in err and "Traceback" not in err and not out.exists()
+    GenConfig(world_steps=0, n_snapshots=1, weight_temporal=0.0).validate()
 
 
 def test_digest_ignores_output_fields_and_reads_pools_by_content(tmp_path):
@@ -591,6 +603,22 @@ def test_score_reads_line_separators_inside_an_answer(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["exact_match_error"] == 0.0
 
 
+def test_score_reads_crlf_files_like_lf_files(tmp_path):
+    config = small_config(tmp_path, n_samples=6, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    refs = Path(config.out_dir) / "train.jsonl"
+    preds = tmp_path / "preds.jsonl"
+    pairs = [(s.sample_id, s.answer_text) for s in read_samples(refs)]
+    write_predictions(preds, pairs[:3] + [(i, "surely wrong") for i, _ in pairs[3:]])
+    expected = score(preds, refs)
+    assert expected["exact_match_error"] == 0.5
+    crlf_refs, crlf_preds = tmp_path / "refs_crlf.jsonl", tmp_path / "preds_crlf.jsonl"
+    for src, dst in ((refs, crlf_refs), (preds, crlf_preds)):
+        dst.write_bytes(src.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf_refs.read_bytes()
+    assert score(crlf_preds, crlf_refs) == expected
+
+
 @pytest.mark.parametrize("repeated_in", ["predictions", "references"])
 def test_score_exits_1_naming_a_repeated_sample_id(tmp_path, capsys, repeated_in):
     # a right answer then a wrong one for the same id: neither may win silently
@@ -735,6 +763,47 @@ def test_validate_reports_a_malformed_record_without_a_traceback(
     assert main(["validate", "--dataset", str(path)]) == 1
     err = capsys.readouterr().err
     assert problem in err and "Traceback" not in err
+
+
+def test_validate_holds_one_parsed_record_at_a_time(tmp_path, monkeypatch):
+    config = small_config(tmp_path, n_samples=60, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    live = weakref.WeakValueDictionary()  # a Sample is unhashable, so no WeakSet
+    held = []
+    real_from_record, real_parse_form = Sample.from_record, cli.parse_form
+
+    def tracked_from_record(record):
+        sample = real_from_record(record)
+        live[id(sample)] = sample
+        return sample
+
+    def counting_parse_form(text):
+        held.append(len(live))  # the records alive while one is checked
+        return real_parse_form(text)
+
+    monkeypatch.setattr(Sample, "from_record", tracked_from_record)
+    monkeypatch.setattr(cli, "parse_form", counting_parse_form)
+    assert validate_dataset(Path(config.out_dir) / "train.jsonl") == []
+    assert held == [1] * 60
+
+
+@pytest.mark.parametrize(
+    "lineno, bad_line",
+    [(4, b'{"sample_id": 3, "query_text": \n'), (2, b'{"answer_text": "caf\xe9"}\n')],
+    ids=["json-after-good-records", "not-utf8"],
+)
+def test_validate_exits_3_naming_a_bad_line(tmp_path, capsys, lineno, bad_line):
+    config = small_config(tmp_path, n_samples=3, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    path = Path(config.out_dir) / "train.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(lineno - 1, bad_line)
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["validate", "--dataset", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert f"{path}, line {lineno}: not a valid record" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("sample_id", ["x", -1, 2**64, True])

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from gridqa.cli import generate_sample
 from gridqa.serialize import (
     DatasetIOError,
     Sample,
+    read_jsonl,
     read_relational_context,
     read_samples,
     relational_ids,
@@ -188,6 +190,35 @@ def test_read_failure_carries_path_context(tmp_path):
     with pytest.raises(DatasetIOError) as err:
         read_samples(target)
     assert "missing_dir" in str(err.value)
+
+
+def test_read_jsonl_closes_its_file_when_the_caller_stops_or_raises(tmp_path, monkeypatch):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps({"i": i}) + "\n" for i in range(5)), encoding="utf-8")
+    opened = []
+    real_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        file = real_open(self, *args, **kwargs)
+        opened.append(file)
+        return file
+
+    def build(record):
+        if record["i"] == 2:
+            raise KeyError("i")
+        return record
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    for _ in read_jsonl(path, dict):
+        break
+    assert len(opened) == 1 and opened[-1].closed
+    with pytest.raises(RuntimeError):
+        for _ in read_jsonl(path, dict):
+            raise RuntimeError("caller failed")
+    assert len(opened) == 2 and opened[-1].closed
+    with pytest.raises(DatasetIOError, match="line 3"):
+        list(read_jsonl(path, build))
+    assert len(opened) == 3 and opened[-1].closed
 
 
 def test_answer_memids_subset_of_relational_ids():
