@@ -26,7 +26,7 @@ import struct
 import sys
 from collections import Counter
 from contextlib import ExitStack
-from multiprocessing import Pipe, Process, Value
+from multiprocessing import Pipe, Process
 from pathlib import Path
 
 from .config import ConfigError, GenConfig, apply_overrides, load_config
@@ -149,10 +149,10 @@ def _counts() -> dict:
     return {"n_samples": 0, "scene_regenerations": 0, **by}
 
 
-def _write_range(config, lo, hi, paths, run_inputs, counts, failed=None) -> None:
+def _write_range(config, lo, hi, paths, run_inputs, counts, stop=None) -> None:
     """Generate indices lo..hi-1 in order, writing each record's line to
-    paths[its split] and counting it in counts. With failed, a shared lowest
-    failed index, the range stops before any index above it."""
+    paths[its split] and counting it in counts. With stop, a connection, the
+    range ends before the next index once anything arrives on it."""
     with ExitStack() as stack:
         try:
             handles = {
@@ -162,7 +162,7 @@ def _write_range(config, lo, hi, paths, run_inputs, counts, failed=None) -> None
         except OSError as exc:
             raise DatasetIOError(f"cannot open output files in {config.out_dir}: {exc}") from exc
         for index in range(lo, hi):
-            if failed is not None and index > failed.value:
+            if stop is not None and stop.poll():
                 break
             _, query_class, return_type, attempt, line = generate_sample(
                 config, index, **run_inputs
@@ -176,61 +176,84 @@ def _write_range(config, lo, hi, paths, run_inputs, counts, failed=None) -> None
             counts["scene_regenerations"] += attempt
 
 
-def _range_writer(config, lo, hi, paths, run_inputs, failed, sender, cpus) -> None:
-    """Child process of _write_ranges: sends back the range's counts, or its error."""
+def _range_writer(config, lo, hi, paths, run_inputs, conn, cpus) -> None:
+    """Child process of _write_ranges: writes its range until the parent sends
+    a stop on conn, then sends back the range's counts, or its error."""
     if cpus is not None:
         os.sched_setaffinity(0, cpus)
     report = _counts()
     try:
-        _write_range(config, lo, hi, paths, run_inputs, report, failed)
+        _write_range(config, lo, hi, paths, run_inputs, report, conn)
     except Exception as exc:
-        with failed.get_lock():  # every index before lo + n_samples was written
-            failed.value = min(failed.value, lo + report["n_samples"])
         report = exc
-    sender.send(report)
+    conn.send(report)
+
+
+def _stop(conn) -> None:
+    try:
+        conn.send(None)
+    except OSError:  # the child has already exited
+        pass
 
 
 def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
     """_write_range over `workers` contiguous ranges of the indices, each in a
     child process on its own CPUs, whose part files the parent appends to paths
     in range order. Raises the lowest failed range's error, as one writer would,
-    or ChildProcessError for a child that ended without reporting."""
+    or ChildProcessError for a child that ended without reporting.
+
+    When range k fails, the parent stops the ranges above k that are still
+    running; the ranges below k run to their end, since one of them may hold a
+    lower failure."""
+    # imported here, as Pipe() imports it: at the top it would cost every command ~5 ms
+    from multiprocessing.connection import wait
+
     bounds = [config.n_samples * k // workers for k in range(workers + 1)]
     cpus = _worker_cpu_sets(workers) or [None] * workers
-    failed = Value("q", config.n_samples)
     children = []
     try:
         for k in range(workers):
             parts = {split: path.with_suffix(f".{k}.tmp") for split, path in paths.items()}
-            receiver, sender = Pipe(duplex=False)
-            args = (config, bounds[k], bounds[k + 1], parts, run_inputs, failed, sender, cpus[k])
+            conn, child_conn = Pipe()
+            args = (config, bounds[k], bounds[k + 1], parts, run_inputs, child_conn, cpus[k])
             child = Process(target=_range_writer, args=args)
             child.start()
-            sender.close()
-            children.append((child, receiver, parts))
-        for k, (child, receiver, _) in enumerate(children):
-            try:
-                report = receiver.recv()
-            except EOFError:
-                child.join()
-                report = ChildProcessError(
-                    f"worker {k} (samples {bounds[k]}..{bounds[k + 1] - 1}) ended with "
-                    f"exit code {child.exitcode} without reporting"
-                )
-            if isinstance(report, Exception):
-                raise report
-            for key, value in report.items():
-                stats[key] += value
+            child_conn.close()
+            children.append((child, conn, parts))
+        running = {conn: k for k, (_, conn, _) in enumerate(children)}
+        errors = {}
+        while running:
+            for conn in wait(list(running)):
+                k = running.pop(conn)
+                try:
+                    report = conn.recv()
+                except EOFError:
+                    child = children[k][0]
+                    child.join()
+                    report = ChildProcessError(
+                        f"worker {k} (samples {bounds[k]}..{bounds[k + 1] - 1}) ended with "
+                        f"exit code {child.exitcode} without reporting"
+                    )
+                if isinstance(report, Exception):
+                    errors[k] = report
+                    for above, j in running.items():
+                        if j > k:
+                            _stop(above)
+                else:
+                    for key, value in report.items():
+                        stats[key] += value
+        if errors:
+            raise errors[min(errors)]
         for split, path in paths.items():
             with path.open("wb") as out:
                 for _, _, parts in children:
                     with parts[split].open("rb") as part:
                         shutil.copyfileobj(part, out)
     finally:
-        failed.value = -1  # stops any range still running
-        for child, receiver, parts in children:
+        for child, conn, parts in children:
+            _stop(conn)  # stops a range still running when the parent itself failed
             child.join()
-            receiver.close()
+            conn.close()
             for part in parts.values():
                 part.unlink(missing_ok=True)
 

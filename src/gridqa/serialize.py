@@ -15,15 +15,17 @@ The relational context holds one reference-object node and one triple
 node per snapshot occurrence, keyed by 16-hex-digit ids. Block nodes
 carry their voxel cells so the context reconstructs snapshots exactly.
 render_relational_context returns it as JSON text, the bytes that
-json.dumps(context, sort_keys=True) writes; the read side
-(read_relational_context, relational_ids) takes the parsed dict.
+json.dumps(context, sort_keys=True, separators=(",", ":")) writes; the read
+side (read_relational_context, relational_ids) takes the parsed dict.
 
 Dataset files are newline-delimited JSON records, one sample per line,
-with "format_version": 1: each line is json.dumps(record, sort_keys=True)
-plus a newline (ASCII, with non-ASCII escaped as \\uXXXX). read_jsonl
-reads such a file one line at a time, splitting at "\\n" only, so a caller
-that checks each record as it is read (validate) holds one parsed record
-at a time, however long the file.
+with "format_version": 1: each line is
+json.dumps(record, sort_keys=True, separators=(",", ":")) plus a newline
+(ASCII, with non-ASCII escaped as \\uXXXX). The readers parse with
+json.loads, so a line written with json.dumps's default ", " and ": "
+separators reads the same. read_jsonl reads such a file one line at a time,
+splitting at "\\n" only, so a caller that checks each record as it is read
+(validate) holds one parsed record at a time, however long the file.
 """
 
 from __future__ import annotations
@@ -108,18 +110,18 @@ class _Hexes(dict):
 
 def _floats(values) -> str:
     # repr is the conversion json.dumps applies to a float, and to an int
-    return ", ".join(map(repr, values))
+    return ",".join(map(repr, values))
 
 
 def _block_node(block: BlockObject, hexes: _Hexes) -> tuple[str, str]:
     """A block node's text before and after its time_index value."""
-    voxels = ", ".join(f"[{x}, {y}, {z}]" for x, y, z in sorted(block.voxels))
+    voxels = ",".join(f"[{x},{y},{z}]" for x, y, z in sorted(block.voxels))
     return (
-        f'{{"reference_object_hash": "{hexes[block.memid]}", '
-        f'"reference_objects_float": [{_floats(block.centroid)}, 0.0, 0.0], '
-        f'"reference_objects_words": ["inst_seg", {_json_str(block.shape)}, '
-        f'{_json_str(block.color)}], "time_index": ',
-        f', "voxels": [{voxels}]}}',
+        f'{{"reference_object_hash":"{hexes[block.memid]}",'
+        f'"reference_objects_float":[{_floats(block.centroid)},0.0,0.0],'
+        f'"reference_objects_words":["inst_seg",{_json_str(block.shape)},'
+        f'{_json_str(block.color)}],"time_index":',
+        f',"voxels":[{voxels}]}}',
     )
 
 
@@ -127,14 +129,15 @@ def _triple_tail(triple: Triple, hexes: _Hexes) -> str:
     """A triple node's text after its time_index value."""
     t_id, subject_memid, predicate, object_text = triple
     return (
-        f', "triples_hash": ["{hexes[t_id]}", "{hexes[subject_memid]}"], '
-        f'"triples_words": [{_json_str(predicate)}, {_json_str(object_text)}]}}'
+        f',"triples_hash":["{hexes[t_id]}","{hexes[subject_memid]}"],'
+        f'"triples_words":[{_json_str(predicate)},{_json_str(object_text)}]}}'
     )
 
 
 def render_relational_context(snapshots: list[Snapshot]) -> str:
     """Graph encoding: reference-object nodes and triple nodes per snapshot,
-    as the JSON text json.dumps(context, sort_keys=True) would write.
+    as the JSON text json.dumps(context, sort_keys=True, separators=(",", ":"))
+    would write.
 
     Only the time_index differs between the nodes of one block or one
     triple at different snapshots, so the text around it is built once
@@ -152,11 +155,11 @@ def render_relational_context(snapshots: list[Snapshot]) -> str:
         for obj in snapshot.reference_objects:
             if isinstance(obj, Entity):
                 ref_nodes.append(
-                    f'{{"reference_object_hash": "{hexes[obj.memid]}", '
+                    f'{{"reference_object_hash":"{hexes[obj.memid]}",'
                     # a Pose is the tuple (x, y, z, pitch, yaw)
-                    f'"reference_objects_float": [{_floats(obj.pose)}], '
-                    f'"reference_objects_words": [{_json_str(obj.name)}, '
-                    f'{_json_str(obj.type_word)}, {_json_str(obj.color)}], "time_index": {t}}}'
+                    f'"reference_objects_float":[{_floats(obj.pose)}],'
+                    f'"reference_objects_words":[{_json_str(obj.name)},'
+                    f'{_json_str(obj.type_word)},{_json_str(obj.color)}],"time_index":{t}}}'
                 )
             else:
                 head, tail = blocks.get(obj) or blocks.setdefault(obj, _block_node(obj, hexes))
@@ -168,12 +171,9 @@ def render_relational_context(snapshots: list[Snapshot]) -> str:
                 for triple in triples
             ]
         if tails:
-            head = '{"time_index": ' + t
-            triple_runs.append(head + (", " + head).join(tails))
-    return (
-        f'{{"reference_objects": [{", ".join(ref_nodes)}], '
-        f'"triples": [{", ".join(triple_runs)}]}}'
-    )
+            head = '{"time_index":' + t
+            triple_runs.append(head + ("," + head).join(tails))
+    return f'{{"reference_objects":[{",".join(ref_nodes)}],"triples":[{",".join(triple_runs)}]}}'
 
 
 def read_relational_context(context: dict) -> list[Snapshot]:
@@ -254,17 +254,21 @@ class Sample:
         return cls(**record)
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def record_line(record: dict) -> str:
-    """One dataset line, json.dumps(record, sort_keys=True) plus a newline,
-    for a record whose context_relational is render_relational_context's text.
+    """One dataset line, json.dumps(record, sort_keys=True, separators=(",", ":"))
+    plus a newline, for a record whose context_relational is
+    render_relational_context's text.
 
     The text goes in as written, at the place of its key. The placeholder
     matches nowhere earlier in the line: the keys that sort before it hold
     strings, and a '"' inside a JSON string is escaped.
     """
-    line = json.dumps({**record, "context_relational": 0}, sort_keys=True)
-    context = '"context_relational": ' + record["context_relational"]
-    return line.replace('"context_relational": 0', context, 1) + "\n"
+    line = _encode({**record, "context_relational": 0})
+    context = '"context_relational":' + record["context_relational"]
+    return line.replace('"context_relational":0', context, 1) + "\n"
 
 
 def read_jsonl(path: str | Path, build) -> Iterator:

@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import multiprocessing.pool
 import os
+import subprocess
+import sys
 import time
 import weakref
 from collections import Counter
@@ -14,6 +16,7 @@ import pytest
 from conftest import pools_for
 from gridqa import cli
 from gridqa.cli import (
+    SPLITS,
     AlignmentError,
     GenerationCapacityError,
     format_dump,
@@ -26,7 +29,7 @@ from gridqa.cli import (
 )
 from gridqa.config import ConfigError, GenConfig, apply_overrides, load_config, parse_config_text
 from gridqa.scenegen import default_names
-from gridqa.serialize import Sample, read_samples
+from gridqa.serialize import Sample, read_relational_context, read_samples
 
 
 def small_config(tmp_path, **overrides) -> GenConfig:
@@ -430,6 +433,27 @@ def test_a_worker_that_dies_exits_3_naming_it(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+_IMPORTS_OF_A_PARALLEL_RUN = """
+import sys
+from gridqa.cli import main
+assert main(["generate", "--out", sys.argv[1], "--n-samples", "4", "--workers", "2"]) == 0
+print(sorted(name for name in sys.modules if "ctypes" in name))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_a_parallel_run_imports_no_ctypes(tmp_path):
+    # shared memory (multiprocessing.Value) would import ctypes, at a cost of
+    # several ms per command line; the range writers share only their pipes
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", _IMPORTS_OF_A_PARALLEL_RUN, str(tmp_path / "ds")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("workers", [0, (os.cpu_count() or 1) + 1])
 def test_workers_out_of_range_exit_1_before_any_output(tmp_path, capsys, workers):
     out = tmp_path / "ds"
@@ -462,6 +486,14 @@ def test_value_that_does_not_round_trip_exits_1_before_any_output(tmp_path, caps
 # sha256 over train, valid and test (in that order) for 30 samples at seed 7.
 # A deliberate change of the output bumps these and says why in CHANGES.md.
 GOLDEN_FINGERPRINTS = {
+    "default": "15b5ec720f545053768864e9cb5c3efe28f1fb664a9cef2fb0a1a1fe18204c4b",
+    "properties": "aaa330190cd5aba1c580a6749c89c7f500d2995c60b4a9205539a15650343193",
+    "custom-names": "0e1066db9ac5611615cad2e83218f510719cde4f907e663f8012266e332a0839",
+}
+# The same sha256 with every line re-encoded as json.dumps(record, sort_keys=True),
+# with its ", " and ": " separators: the bytes written before lines were compact.
+# These pin what the records say; GOLDEN_FINGERPRINTS pins how they are written.
+EXPANDED_FINGERPRINTS = {
     "default": "b71390be733365b99a1c96d9a6a91756c66f4f0257d8a85aceea10bb4ad11252",
     "properties": "4f3d5fb051a8adb71f4d830d74065e0f093626d98e1c138329ad07a235a8a130",
     "custom-names": "8a9e15f04ce646fed541f298e559fb2fa53f1fdec226e5311d73cb3a8222d8cb",
@@ -471,8 +503,8 @@ GOLDEN_FINGERPRINTS = {
 CUSTOM_NAMES = "ada\nalan\nbarbara\ndennis\nedsger\ngrace\nhedy\nkaren\nlinus\n"
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_FINGERPRINTS))
-def test_golden_fingerprint(tmp_path, case):
+def generate_golden(tmp_path, case) -> list[bytes]:
+    """The train, valid and test files of one golden case, generated under tmp_path."""
     base = GenConfig.properties_mode() if case == "properties" else GenConfig()
     overrides = dict(n_samples=30, seed=7, out_dir=str(tmp_path / case))
     if case == "custom-names":
@@ -481,10 +513,45 @@ def test_golden_fingerprint(tmp_path, case):
         overrides["names_file"] = str(names)
     config = dataclasses.replace(base, **overrides)
     generate(config)
+    return [(Path(config.out_dir) / f"{split}.jsonl").read_bytes() for split in SPLITS]
+
+
+def expanded(line: bytes) -> bytes:
+    """A dataset line in the form written before lines were compact."""
+    return json.dumps(json.loads(line), sort_keys=True).encode() + b"\n"
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FINGERPRINTS))
+def test_golden_fingerprint(tmp_path, case):
     digest = hashlib.sha256()
-    for split in ("train", "valid", "test"):
-        digest.update((Path(config.out_dir) / f"{split}.jsonl").read_bytes())
+    for data in generate_golden(tmp_path, case):
+        digest.update(data)
     assert digest.hexdigest() == GOLDEN_FINGERPRINTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(EXPANDED_FINGERPRINTS))
+def test_compact_lines_change_only_whitespace(tmp_path, case):
+    digest = hashlib.sha256()
+    for data in generate_golden(tmp_path, case):
+        for line in data.splitlines():
+            digest.update(expanded(line))
+    assert digest.hexdigest() == EXPANDED_FINGERPRINTS[case]
+
+
+def test_a_dataset_in_the_expanded_form_still_reads_and_validates(tmp_path, capsys):
+    config = small_config(tmp_path, n_samples=6, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    out = Path(config.out_dir)
+    lines = (out / "train.jsonl").read_bytes().splitlines()
+    old = tmp_path / "expanded.jsonl"
+    old.write_bytes(b"".join(map(expanded, lines)))
+    assert b'"context_relational": {"reference_objects": [{' in old.read_bytes()
+    code = main(["validate", "--dataset", str(old), "--config", str(out / "config.cfg")])
+    assert capsys.readouterr().err == ""
+    assert code == 0
+    for line, old_line in zip(lines, old.read_bytes().splitlines(), strict=True):
+        new, before = (json.loads(text)["context_relational"] for text in (line, old_line))
+        assert read_relational_context(before) == read_relational_context(new)
 
 
 # --- scoring ---------------------------------------------------------------------

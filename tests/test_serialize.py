@@ -35,6 +35,11 @@ from gridqa.worldcore import (
 )
 
 
+def compact(value) -> str:
+    """The canonical dump a dataset line holds: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def sample_lines(config, indices):
     """The JSONL lines generate_sample writes for the given indices."""
     pools = pools_for(config)
@@ -173,10 +178,10 @@ def test_shallow_record_encodes_like_asdict(preset):
     for line in sample_lines(config, range(50)):
         record = json.loads(line)
         # the spliced line is byte for byte the sorted-key dump of its record
-        assert json.dumps(record, sort_keys=True) + "\n" == line
+        assert compact(record) + "\n" == line
         sample = Sample.from_record(record)
         assert sample.to_record() == record
-        assert json.dumps(dataclasses.asdict(sample), sort_keys=True) + "\n" == line
+        assert compact(dataclasses.asdict(sample)) + "\n" == line
 
 
 def test_write_zero_samples(tmp_path):
@@ -301,7 +306,7 @@ def test_relational_render_matches_the_plain_render_for_every_task_kind():
             continue
         per_kind[kind] += 1
         rendered, plain = render_relational_context(snapshots), plain_relational_context(snapshots)
-        assert rendered == json.dumps(plain, sort_keys=True), seed - 1
+        assert rendered == compact(plain), seed - 1
         if kind in ("build", "dig", "destroy"):
             assert len(snapshot_blocks(snapshots[0])) != len(snapshot_blocks(snapshots[-1]))
 
@@ -319,6 +324,6 @@ def test_relational_render_escapes_and_formats_numbers_like_json_dumps():
     bare = Snapshot(2, (block,), ())
     for snapshots in ([first], [first, second], [bare, second], [first, bare, second]):
         text = render_relational_context(snapshots)
-        assert text == json.dumps(plain_relational_context(snapshots), sort_keys=True)
+        assert text == compact(plain_relational_context(snapshots))
         assert text.isascii() and "\\u00e9" in text and "\\u2713" in text
         assert read_relational_context(json.loads(text)) == snapshots
