@@ -89,7 +89,7 @@ def _argmax(scores: dict[int, float]) -> int:
     return ranked[0][0]
 
 
-def _movement_deltas(snapshots: list[Snapshot]) -> dict[int, Vec3]:
+def movement_deltas(snapshots: list[Snapshot]) -> dict[int, Vec3]:
     """Displacement of each animate object present at both endpoints."""
     first, last = snapshots[0], snapshots[-1]
     deltas: dict[int, Vec3] = {}
@@ -177,20 +177,20 @@ def eval_closest_object(args, snapshots, action_log):
 
 
 def eval_farthest_moved(args, snapshots, action_log):
-    scores = {m: math.hypot(*d) for m, d in _movement_deltas(snapshots).items()}
+    scores = {m: math.hypot(*d) for m, d in movement_deltas(snapshots).items()}
     return {_argmax(scores)}, set()
 
 
 def eval_temporal_cardinal(args, snapshots, action_log):
     index = "xyz".index(args["axis"])
-    scores = {m: d[index] for m, d in _movement_deltas(snapshots).items()}
+    scores = {m: d[index] for m, d in movement_deltas(snapshots).items()}
     return {_argmax(scores)}, set()
 
 
 def eval_temporal_relative(args, snapshots, action_log):
     owner = _frame_owner(args["frame"], snapshots[-1])
     direction = horizontal_direction(owner.pose, args["side"])
-    deltas = _movement_deltas(snapshots)
+    deltas = movement_deltas(snapshots)
     scores = {m: _dot(d, direction) for m, d in deltas.items() if m != owner.memid}
     return {_argmax(scores)}, set()
 

@@ -394,7 +394,10 @@ def _sample_absolute_distance(snapshots, config, rng):
 
 
 def _sample_axis(snapshots, config, rng):
-    return {"axis": rng.choice(AXES)}
+    # only an axis some entity moved along can have a unique argmax
+    deltas = oracle.movement_deltas(snapshots).values()
+    moved = [axis for i, axis in enumerate(AXES) if any(d[i] for d in deltas)]
+    return {"axis": rng.choice(moved)} if moved else None
 
 
 def _sample_frame_side(snapshots, config, rng):

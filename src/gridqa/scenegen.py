@@ -292,39 +292,6 @@ def _random_pose(size: int, occupied: set[Cell], blocked: set[Cell], randbelow) 
     )
 
 
-def _draw_names(pool: tuple[str, ...], k: int, rng: random.Random) -> list[str]:
-    """The first k names `names = list(pool); rng.shuffle(names)` then k
-    `names.pop()` calls give, with the same rng state afterwards.
-
-    Random.shuffle swaps position i with randbelow(i + 1) for i from the
-    end down; the last k positions are final once their swaps are done.
-    The remaining swaps only move names that are never popped, so they
-    are skipped, but their draws (getrandbits(n.bit_length()) until the
-    value is below n, as in Random._randbelow) are still taken.
-    """
-    names = list(pool)
-    randbelow = rng._randbelow
-    picked = []
-    for i in range(len(names) - 1, len(names) - 1 - k, -1):
-        if i == 0:  # shuffle leaves position 0 without a draw
-            picked.append(names[0])
-            break
-        j = randbelow(i + 1)
-        names[i], names[j] = names[j], names[i]
-        picked.append(names[i])
-    getrandbits = rng.getrandbits
-    n = len(names) - k
-    while n > 1:
-        # every n in [low, n] has the same bit length
-        bits = n.bit_length()
-        low = 1 << (bits - 1)
-        for m in range(n, low - 1, -1):
-            while getrandbits(bits) >= m:
-                pass
-        n = low - 1
-    return picked
-
-
 def origin_ranges(template: frozenset[Cell], size: int) -> Ranges | None:
     """Per axis, the lowest and highest origin offset that keeps template in a size^3 world.
 
@@ -385,7 +352,7 @@ def build_scene(config: "GenConfig", rng: random.Random, pools: ScenePools) -> W
         block_cells |= voxels
         placed.append((shape, rng.choice(pools.colors), voxels))
 
-    names = _draw_names(pools.names, config.n_npcs + 2, rng)
+    names = rng.sample(pools.names, config.n_npcs + 2)
     occupied: set[Cell] = set()
     randbelow = rng._randbelow
     world.add_entity(

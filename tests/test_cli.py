@@ -486,20 +486,23 @@ def test_value_that_does_not_round_trip_exits_1_before_any_output(tmp_path, caps
 # sha256 over train, valid and test (in that order) for 30 samples at seed 7.
 # A deliberate change of the output bumps these and says why in CHANGES.md.
 GOLDEN_FINGERPRINTS = {
-    "default": "15b5ec720f545053768864e9cb5c3efe28f1fb664a9cef2fb0a1a1fe18204c4b",
-    "properties": "aaa330190cd5aba1c580a6749c89c7f500d2995c60b4a9205539a15650343193",
-    "custom-names": "0e1066db9ac5611615cad2e83218f510719cde4f907e663f8012266e332a0839",
+    "default": "472f3a6186b41ee750c71734230a03b301713b3f5d08ee465c80f0af78f6b5dc",
+    "properties": "de9e7ff082aa62759f33106bd7a514529e6eb7213bb636de6ae6a42b4c29d7bf",
+    "custom-names": "e2d64a0dad97e1161f6ba5d152c203c0b9fa34a9a9ad32b146489b76c818bebf",
 }
 # The same sha256 with every line re-encoded as json.dumps(record, sort_keys=True),
 # with its ", " and ": " separators: the bytes written before lines were compact.
 # These pin what the records say; GOLDEN_FINGERPRINTS pins how they are written.
 EXPANDED_FINGERPRINTS = {
-    "default": "b71390be733365b99a1c96d9a6a91756c66f4f0257d8a85aceea10bb4ad11252",
-    "properties": "4f3d5fb051a8adb71f4d830d74065e0f093626d98e1c138329ad07a235a8a130",
-    "custom-names": "8a9e15f04ce646fed541f298e559fb2fa53f1fdec226e5311d73cb3a8222d8cb",
+    "default": "667afa18c8ce5561e75ffba30c5c8739717544395f2f93b6c10fe27ae1837fa9",
+    "properties": "7792784520b73864c18ae953253bba02cf89725f426163bf7453e2f8de563449",
+    "custom-names": "91d8bbc6c925a12f55e724a3786314159bc2f6fd57430bf34938e74853c1c35e",
 }
 # nine names: the name draw runs on a pool other than the packaged one, and
-# config_digest hashes a pool file
+# config_digest hashes a pool file. Random.sample(pool, 6) takes its list
+# branch for a pool of at most 85 names and its set branch above that, so
+# this case covers the list branch and the packaged 254-name pool the set
+# branch; keep this pool at 85 names or fewer.
 CUSTOM_NAMES = "ada\nalan\nbarbara\ndennis\nedsger\ngrace\nhedy\nkaren\nlinus\n"
 
 

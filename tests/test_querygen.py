@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_episode, random_form
+from conftest import make_episode, random_form, simple_world
 from gridqa import GenConfig
 from gridqa.querygen import (
     HEADS,
@@ -21,6 +21,7 @@ from gridqa.querygen import (
 )
 from gridqa.dynamics import TASK_KINDS
 from gridqa.scenegen import SHAPES
+from gridqa.worldcore import AGENT, NPC, PLAYER, Pose, take_snapshot
 
 COMBINABLE_KINDS = frozenset(k for k, spec in KINDS.items() if spec.combinable)
 STANDALONE_KINDS = frozenset(k for k, spec in KINDS.items() if not spec.combinable)
@@ -227,6 +228,36 @@ def test_sampler_is_deterministic():
     a = sample_query(snapshots, config, random.Random(5))
     b = sample_query(snapshots, config, random.Random(5))
     assert a == b
+
+
+def moved_snapshots(moves):
+    """The first and last snapshot of a hand-built world in which each
+    entity named in moves steps by its (dx, dy, dz)."""
+    world = simple_world(
+        [
+            (PLAYER, "sara", "white", Pose(7.0, 2.0, 7.0)),
+            (AGENT, "igor", "pink", Pose(3.0, 2.0, 3.0)),
+            (NPC, "bob", "brown", Pose(10.0, 2.0, 10.0), "cow"),
+        ]
+    )
+    first = take_snapshot(world, 0)
+    for entity in world.entities:
+        x, y, z = entity.pose.position
+        dx, dy, dz = moves.get(entity.name, (0.0, 0.0, 0.0))
+        entity.pose = Pose(x + dx, y + dy, z + dz)
+    return [first, take_snapshot(world, 1)]
+
+
+def test_temporal_cardinal_draws_only_an_axis_something_moved_along():
+    sample, config = KINDS["temporal_cardinal"].sample, GenConfig()
+
+    def axes(snapshots):
+        return {sample(snapshots, config, random.Random(seed))["axis"] for seed in range(200)}
+
+    # NPCs walk on the ground: a y query would tie every entity at 0
+    assert axes(moved_snapshots({"bob": (1.0, 0.0, -2.0), "igor": (0.0, 0.0, 1.0)})) == {"x", "z"}
+    assert axes(moved_snapshots({"bob": (1.0, 0.0, 0.0), "igor": (0.0, 1.0, 0.0)})) == {"x", "y"}
+    assert sample(moved_snapshots({}), config, random.Random(0)) is None
 
 
 def test_kind_catalog_is_complete():

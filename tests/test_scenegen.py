@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -121,14 +122,21 @@ def test_shape_param_draws_are_pinned():
 
 def test_default_scene_composition():
     config = GenConfig()
-    world = build_scene(config, random.Random(11), pools_for(config))
-    assert world.world_size == 15
-    assert len([e for e in world.entities if e.kind == "agent"]) == 1
-    assert len([e for e in world.entities if e.kind == "player"]) == 1
-    assert len(world.npcs()) == 4
-    assert config.n_blocks_min <= len(world.block_objects) <= config.n_blocks_max
-    names = [e.name for e in world.entities]
-    assert len(set(names)) == len(names)
+    packaged = pools_for(config)
+    # a pool of exactly the n_npcs + 2 names a scene needs
+    exact = dataclasses.replace(packaged, names=packaged.names[: config.n_npcs + 2])
+    for pools in (packaged, exact):
+        for seed in range(200):
+            world = build_scene(config, random.Random(seed), pools)
+            assert world.world_size == 15
+            assert len([e for e in world.entities if e.kind == "agent"]) == 1
+            assert len([e for e in world.entities if e.kind == "player"]) == 1
+            assert len(world.npcs()) == 4
+            assert config.n_blocks_min <= len(world.block_objects) <= config.n_blocks_max
+            names = [e.name for e in world.entities]
+            assert len(set(names)) == len(names)
+            assert set(names) <= set(pools.names)
+            assert pools is packaged or set(names) == set(pools.names)
 
 
 def test_empty_scene_is_agent_plus_player():
@@ -243,34 +251,7 @@ def test_origin_ranges_keep_every_voxel_inside_the_world():
                 assert max(v[axis] for v in template) + high == size - 1
 
 
-# --- draw exactness: the fast draws take exactly the draws of the plain API ------
-
-
-def shuffled_pops(pool, k, rng):
-    """The name draw as written with the public API."""
-    names = list(pool)
-    rng.shuffle(names)
-    return [names.pop() for _ in range(k)]
-
-
-@pytest.mark.parametrize("pool_size", [GenConfig().n_npcs + 2, 7, 254, 300])
-def test_name_draw_matches_shuffle_then_pop(pool_size):
-    pool = default_names() if pool_size == 254 else tuple(f"name{i}" for i in range(pool_size))
-    k = GenConfig().n_npcs + 2
-    for seed in range(200):
-        expected_rng, rng = random.Random(seed), random.Random(seed)
-        expected = shuffled_pops(pool, k, expected_rng)
-        assert scenegen._draw_names(pool, k, rng) == expected, (pool_size, seed)
-        assert rng.getstate() == expected_rng.getstate(), (pool_size, seed)
-
-
-def test_name_draw_of_the_whole_pool_and_of_none():
-    pool = tuple(f"name{i}" for i in range(9))
-    for k in (0, 1, 8, 9):
-        for seed in range(50):
-            expected_rng, rng = random.Random(seed), random.Random(seed)
-            assert scenegen._draw_names(pool, k, rng) == shuffled_pops(pool, k, expected_rng)
-            assert rng.getstate() == expected_rng.getstate()
+# --- pose draws: _random_pose takes exactly the draws of randrange and randint ---
 
 
 def public_api_random_pose(world, occupied, blocked, rng):
