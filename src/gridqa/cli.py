@@ -82,9 +82,9 @@ def split_of(config: GenConfig, index: int) -> str:
 
 def generate_sample(
     config: GenConfig, index: int, config_digest: str, pools: ScenePools
-) -> tuple[int, str, str, int, str]:
-    """Run the full pipeline for one sample index; returns (index, query
-    class, return type, scene attempt, JSONL line).
+) -> tuple[str, str, int, str]:
+    """Run the full pipeline for one sample index; returns (query class,
+    return type, scene attempt, JSONL line).
 
     Every random draw derives from (config.seed, index, scene attempt),
     so any index regenerates independently of the rest of the run.
@@ -126,7 +126,7 @@ def generate_sample(
                 "format_version": FORMAT_VERSION,
             }
         )
-        return index, form.query_class, logical_form["return_type"], attempt, line
+        return form.query_class, logical_form["return_type"], attempt, line
     raise GenerationCapacityError(
         f"sample {index}: no answerable scene in {config.scene_retries} retries"
     )
@@ -164,9 +164,7 @@ def _write_range(config, lo, hi, paths, run_inputs, counts, stop=None) -> None:
         for index in range(lo, hi):
             if stop is not None and stop.poll():
                 break
-            _, query_class, return_type, attempt, line = generate_sample(
-                config, index, **run_inputs
-            )
+            query_class, return_type, attempt, line = generate_sample(config, index, **run_inputs)
             split = split_of(config, index)
             handles[split].write(line)
             counts["n_samples"] += 1
@@ -189,25 +187,16 @@ def _range_writer(config, lo, hi, paths, run_inputs, conn, cpus) -> None:
     conn.send(report)
 
 
-def _stop(conn) -> None:
-    try:
-        conn.send(None)
-    except OSError:  # the child has already exited
-        pass
-
-
 def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
     """_write_range over `workers` contiguous ranges of the indices, each in a
     child process on its own CPUs, whose part files the parent appends to paths
-    in range order. Raises the lowest failed range's error, as one writer would,
-    or ChildProcessError for a child that ended without reporting.
+    in range order.
 
-    When range k fails, the parent stops the ranges above k that are still
-    running; the ranges below k run to their end, since one of them may hold a
-    lower failure."""
-    # imported here, as Pipe() imports it: at the top it would cost every command ~5 ms
-    from multiprocessing.connection import wait
-
+    The parent reads the children's reports in range order, so the first error
+    it reads is the lowest failed range's, the one a single writer would raise.
+    It raises that error at once, or ChildProcessError for a child that ended
+    without reporting; on the way out it stops every range still running and
+    joins every child."""
     bounds = [config.n_samples * k // workers for k in range(workers + 1)]
     cpus = _worker_cpu_sets(workers) or [None] * workers
     children = []
@@ -220,30 +209,19 @@ def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
             child.start()
             child_conn.close()
             children.append((child, conn, parts))
-        running = {conn: k for k, (_, conn, _) in enumerate(children)}
-        errors = {}
-        while running:
-            for conn in wait(list(running)):
-                k = running.pop(conn)
-                try:
-                    report = conn.recv()
-                except EOFError:
-                    child = children[k][0]
-                    child.join()
-                    report = ChildProcessError(
-                        f"worker {k} (samples {bounds[k]}..{bounds[k + 1] - 1}) ended with "
-                        f"exit code {child.exitcode} without reporting"
-                    )
-                if isinstance(report, Exception):
-                    errors[k] = report
-                    for above, j in running.items():
-                        if j > k:
-                            _stop(above)
-                else:
-                    for key, value in report.items():
-                        stats[key] += value
-        if errors:
-            raise errors[min(errors)]
+        for k, (child, conn, _) in enumerate(children):
+            try:
+                report = conn.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"worker {k} (samples {bounds[k]}..{bounds[k + 1] - 1}) ended with "
+                    f"exit code {child.exitcode} without reporting"
+                ) from None
+            if isinstance(report, Exception):
+                raise report
+            for key, value in report.items():
+                stats[key] += value
         for split, path in paths.items():
             with path.open("wb") as out:
                 for _, _, parts in children:
@@ -251,7 +229,10 @@ def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
                         shutil.copyfileobj(part, out)
     finally:
         for child, conn, parts in children:
-            _stop(conn)  # stops a range still running when the parent itself failed
+            try:
+                conn.send(None)  # a stop, for a range still running
+            except OSError:  # the child has already exited
+                pass
             child.join()
             conn.close()
             for part in parts.values():
@@ -262,8 +243,9 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
     """Generate config.n_samples records across splits; returns the stats report.
 
     With workers > 1, one child process per contiguous range of the indices
-    writes that range (see _write_ranges), and the output is the serial output
-    byte for byte. Besides the split files, out_dir gets stats.json and
+    writes that range, and the parent reads their reports in range order (see
+    _write_ranges): the output is the serial output byte for byte, and a failed
+    run raises the error the serial run would. Besides the split files, out_dir gets stats.json and
     config.cfg (the effective config, loadable by `validate --config`; a config
     whose values would not read back from it is refused up front). All of them
     are written to temporary files in out_dir and renamed into place after the
@@ -371,6 +353,7 @@ def score(predictions_path: str | Path, references_path: str | Path) -> dict:
 
 
 def _find_sample(path: str | Path, sample_id: int) -> Sample:
+    """The first record with sample_id, read up to it and no further."""
     for sample in read_samples(path):
         if sample.sample_id == sample_id:
             return sample
@@ -408,9 +391,9 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
         config_digest = config.digest()
         pools = ScenePools.from_config(config)
     problems = []
-    for sample in read_jsonl(path, Sample.from_record):
+    for sample in read_samples(path):
         label = f"sample {sample.sample_id}"
-        if sample.format_version != 1:
+        if sample.format_version != FORMAT_VERSION:
             problems.append(f"{label}: unknown format_version {sample.format_version}")
         try:
             reparsed = parse_form(sample.query_text)
@@ -446,7 +429,7 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
             if type(index) is not int or not 0 <= index < 2**63:
                 problems.append(f"{label}: sample_id is not a sample index, cannot regenerate")
                 continue
-            _, _, _, _, line = generate_sample(config, index, config_digest, pools)
+            *_, line = generate_sample(config, index, config_digest, pools)
             if json.loads(line) != sample.to_record():
                 problems.append(f"{label}: does not match regeneration from config")
     return problems
@@ -538,23 +521,22 @@ def main(argv=None) -> int:
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
             return 0
-        if args.command == "validate":
-            config = load_config(args.config) if args.config else None
-            problems = validate_dataset(args.dataset, config)
-            if problems:
-                for problem in problems:
-                    print(problem, file=sys.stderr)
-                return 1
-            print("ok")
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        # argparse requires a command, so this one is validate
+        config = load_config(args.config) if args.config else None
+        problems = validate_dataset(args.dataset, config)
+        if problems:
+            for problem in problems:
+                print(problem, file=sys.stderr)
+            return 1
+        print("ok")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except AlignmentError as exc:
         print(f"alignment error: {exc}", file=sys.stderr)
         return 1
-    except (GenerationCapacityError, SceneCapacityError) as exc:
+    except GenerationCapacityError as exc:
         print(f"generation capacity error: {exc}", file=sys.stderr)
         return 2
     except (DatasetIOError, OSError) as exc:

@@ -243,7 +243,7 @@ class Sample:
     answer_text: str
     answer_memids: list[str]
     generation_metadata: dict
-    format_version: int = FORMAT_VERSION
+    format_version: int
 
     def to_record(self) -> dict:
         """Shallow field dict: nested values are shared with the sample, not copied."""
@@ -298,5 +298,6 @@ def read_jsonl(path: str | Path, build) -> Iterator:
             yield item
 
 
-def read_samples(path: str | Path) -> list[Sample]:
-    return list(read_jsonl(path, Sample.from_record))
+def read_samples(path: str | Path) -> Iterator[Sample]:
+    """The samples of a JSONL dataset file, parsed one line at a time (see read_jsonl)."""
+    return read_jsonl(path, Sample.from_record)

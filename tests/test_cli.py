@@ -312,8 +312,8 @@ _real_generate_sample = cli.generate_sample
 
 def _on_cpus(config, index, **run_inputs):
     # counts each record under the CPUs of the process that wrote it
-    index, _, return_type, attempt, line = _real_generate_sample(config, index, **run_inputs)
-    return index, json.dumps(sorted(os.sched_getaffinity(0))), return_type, attempt, line
+    _, return_type, attempt, line = _real_generate_sample(config, index, **run_inputs)
+    return json.dumps(sorted(os.sched_getaffinity(0))), return_type, attempt, line
 
 
 @pytest.mark.skipif(
@@ -581,7 +581,7 @@ def test_score_all_wrong_and_half_wrong(tmp_path):
     config = small_config(tmp_path, n_samples=10, split_train=1.0, split_valid=0.0, split_test=0.0)
     generate(config)
     refs = Path(config.out_dir) / "train.jsonl"
-    samples = read_samples(refs)
+    samples = list(read_samples(refs))
 
     all_wrong = tmp_path / "wrong.jsonl"
     write_predictions(all_wrong, [(s.sample_id, "definitely wrong") for s in samples])
@@ -953,13 +953,48 @@ def test_truncated_jsonl_exits_3_naming_file_and_line(tmp_path, capsys):
     capsys.readouterr()
     for argv, bad in (
         (["validate", "--dataset", str(truncated)], truncated),
-        (["inspect", "--dataset", str(truncated), "--sample-id", "0"], truncated),
+        (["inspect", "--dataset", str(truncated), "--sample-id", "2"], truncated),
         (["score", "--predictions", str(preds), "--references", str(dataset)], preds),
     ):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"{bad}, line" in err
         assert "Traceback" not in err
+
+
+def test_inspect_reads_no_further_than_the_record_it_dumps(tmp_path, capsys):
+    out = tmp_path / "ds"
+    main(["generate", "--out", str(out), "--n-samples", "3", "--set", "split_train=1.0",
+          "--set", "split_valid=0.0", "--set", "split_test=0.0"])
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_bytes((out / "train.jsonl").read_bytes()[:-40])
+    capsys.readouterr()
+    # sample 0 is on line 1; the truncated line 3 is never parsed
+    assert main(["inspect", "--dataset", str(truncated), "--sample-id", "0"]) == 0
+    assert capsys.readouterr().out.startswith("sample 0 ")
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_a_record_without_format_version_exits_3_naming_file_and_line(
+    tmp_path, capsys, with_config
+):
+    out = tmp_path / "ds"
+    main(["generate", "--out", str(out), "--n-samples", "5", "--set", "split_train=1.0",
+          "--set", "split_valid=0.0", "--set", "split_test=0.0"])
+    dataset = out / "train.jsonl"
+    lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    del record["format_version"]
+    lines[2] = json.dumps(record, sort_keys=True) + "\n"
+    dataset.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["validate", "--dataset", str(dataset)]
+    if with_config:
+        argv += ["--config", str(out / "config.cfg")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{dataset}, line 3" in err and "format_version" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["generate --config", "validate --config", "names_file"])

@@ -187,13 +187,13 @@ def test_shallow_record_encodes_like_asdict(preset):
 def test_write_zero_samples(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
-    assert read_samples(path) == []
+    assert list(read_samples(path)) == []
 
 
 def test_read_failure_carries_path_context(tmp_path):
     target = tmp_path / "missing_dir" / "x.jsonl"
     with pytest.raises(DatasetIOError) as err:
-        read_samples(target)
+        list(read_samples(target))
     assert "missing_dir" in str(err.value)
 
 
