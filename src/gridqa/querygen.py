@@ -394,10 +394,11 @@ def _sample_absolute_distance(snapshots, config, rng):
 
 
 def _sample_axis(snapshots, config, rng):
-    # only an axis some entity moved along can have a unique argmax
+    # only an axis some entity's coordinate increased along can have a unique
+    # argmax: along any other, every entity that stood still ties at 0
     deltas = oracle.movement_deltas(snapshots).values()
-    moved = [axis for i, axis in enumerate(AXES) if any(d[i] for d in deltas)]
-    return {"axis": rng.choice(moved)} if moved else None
+    increased = [axis for i, axis in enumerate(AXES) if any(d[i] > 0 for d in deltas)]
+    return {"axis": rng.choice(increased)} if increased else None
 
 
 def _sample_frame_side(snapshots, config, rng):

@@ -260,6 +260,17 @@ def test_temporal_cardinal_draws_only_an_axis_something_moved_along():
     assert sample(moved_snapshots({}), config, random.Random(0)) is None
 
 
+def test_temporal_cardinal_never_draws_an_axis_moved_along_only_downward():
+    sample, config = KINDS["temporal_cardinal"].sample, GenConfig()
+
+    def axes(snapshots):
+        return {sample(snapshots, config, random.Random(seed))["axis"] for seed in range(200)}
+
+    # x only fell: sara and bob, who stood still, would tie at the top score 0
+    assert axes(moved_snapshots({"igor": (-1.0, 0.0, 0.0), "bob": (0.0, 0.0, 1.0)})) == {"z"}
+    assert sample(moved_snapshots({"bob": (-1.0, 0.0, -2.0)}), config, random.Random(0)) is None
+
+
 def test_kind_catalog_is_complete():
     assert len(KINDS) == 15
     assert STANDALONE_KINDS == {
