@@ -245,11 +245,12 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
     With workers > 1, one child process per contiguous range of the indices
     writes that range, and the parent reads their reports in range order (see
     _write_ranges): the output is the serial output byte for byte, and a failed
-    run raises the error the serial run would. Besides the split files, out_dir gets stats.json and
-    config.cfg (the effective config, loadable by `validate --config`; a config
-    whose values would not read back from it is refused up front). All of them
-    are written to temporary files in out_dir and renamed into place after the
-    last record, so a failed run leaves none of them.
+    run raises the error the serial run would. Besides the split files, out_dir
+    gets stats.json and config.cfg (the effective config, loadable by
+    `validate --config`; a config whose values would not read back from it is
+    refused up front). All of them are written to temporary files in out_dir
+    and renamed into place after the last record, so a failed run leaves none
+    of them.
     """
     config.validate()
     cpus = os.cpu_count() or 1
