@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import shutil
@@ -26,7 +27,6 @@ import struct
 import sys
 from collections import Counter
 from contextlib import ExitStack
-from multiprocessing import Pipe, Process
 from pathlib import Path
 
 from .config import ConfigError, GenConfig, apply_overrides, load_config
@@ -189,23 +189,26 @@ def _range_writer(config, lo, hi, paths, run_inputs, conn, cpus) -> None:
 
 def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
     """_write_range over `workers` contiguous ranges of the indices, each in a
-    child process on its own CPUs, whose part files the parent appends to paths
-    in range order.
+    child process forked whatever the interpreter's default start method, so
+    it inherits the checked config and pools as they are, and bound on Linux to
+    its own CPUs. The parent appends their part files to paths in range order.
 
     The parent reads the children's reports in range order, so the first error
     it reads is the lowest failed range's, the one a single writer would raise.
     It raises that error at once, or ChildProcessError for a child that ended
     without reporting; on the way out it stops every range still running and
     joins every child."""
+    # taken here, not at import: get_context("fork") raises where fork does not exist
+    fork = multiprocessing.get_context("fork")
     bounds = [config.n_samples * k // workers for k in range(workers + 1)]
     cpus = _worker_cpu_sets(workers) or [None] * workers
     children = []
     try:
         for k in range(workers):
             parts = {split: path.with_suffix(f".{k}.tmp") for split, path in paths.items()}
-            conn, child_conn = Pipe()
+            conn, child_conn = fork.Pipe()
             args = (config, bounds[k], bounds[k + 1], parts, run_inputs, child_conn, cpus[k])
-            child = Process(target=_range_writer, args=args)
+            child = fork.Process(target=_range_writer, args=args)
             child.start()
             child_conn.close()
             children.append((child, conn, parts))
@@ -242,20 +245,22 @@ def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
 def generate(config: GenConfig, workers: int = 1) -> dict:
     """Generate config.n_samples records across splits; returns the stats report.
 
-    With workers > 1, one child process per contiguous range of the indices
-    writes that range, and the parent reads their reports in range order (see
-    _write_ranges): the output is the serial output byte for byte, and a failed
-    run raises the error the serial run would. Besides the split files, out_dir
-    gets stats.json and config.cfg (the effective config, loadable by
-    `validate --config`; a config whose values would not read back from it is
-    refused up front). All of them are written to temporary files in out_dir
-    and renamed into place after the last record, so a failed run leaves none
-    of them.
+    With workers > 1 (refused where fork does not exist), one forked child per
+    contiguous range of the indices writes that range on its own CPUs, and the
+    parent reads their reports in range order (see _write_ranges): the output
+    is the serial output byte for byte, and a failed run raises the error the
+    serial run would. Besides the split files, out_dir gets stats.json and
+    config.cfg (the effective config, loadable by `validate --config`; a config
+    whose values would not read back from it is refused up front). All of them
+    are written to temporary files in out_dir and renamed into place after the
+    last record, so a failed run leaves none of them.
     """
     config.validate()
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ConfigError(f"workers: must be between 1 and the CPU count {cpus}, got {workers}")
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError(f"workers: must be 1 on a platform without fork, got {workers}")
     # config.cfg must load back to this config, or it would regenerate something else
     config.check_round_trip()
     out_dir = Path(config.out_dir)

@@ -9,6 +9,7 @@ names. Unknown keys are rejected so typos surface early.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -73,6 +74,11 @@ class GenConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the offending field."""
+        for name, ftype in _FIELD_TYPES.items():
+            if ftype == "float" and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}: must be a finite number")
+        if not -(2**63) <= self.seed < 2**63:
+            raise ConfigError("seed: must fit in a signed 64-bit integer")
         if self.world_size < 4:
             raise ConfigError("world_size: must be >= 4")
         if self.n_npcs < 0:
@@ -194,15 +200,14 @@ def _read_pair(pair: str, where: str) -> tuple[str, object]:
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
 
 
-def parse_config_text(text: str, base: GenConfig | None = None) -> GenConfig:
-    config = base or GenConfig()
+def parse_config_text(text: str) -> GenConfig:
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT_RE.split(line, 1)[0].strip()
         if stripped:
             key, value = _read_pair(stripped, f"line {lineno}")
             updates[key] = value
-    return replace(config, **updates)
+    return GenConfig(**updates)
 
 
 def load_config(path: str | Path) -> GenConfig:

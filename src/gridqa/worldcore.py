@@ -67,25 +67,15 @@ def round_half_away(v: float) -> int:
     return int(math.floor(v + 0.5)) if v >= 0 else -int(math.floor(-v + 0.5))
 
 
-class _PoseFields(NamedTuple):
+class Pose(NamedTuple):
+    """Position plus view direction: an immutable (x, y, z, pitch, yaw)
+    tuple. Its producers give a yaw in [0, 360) and a pitch in [-45, 45]."""
+
     x: float
     y: float
     z: float
     pitch: float = 0.0
     yaw: float = 0.0
-
-
-class Pose(_PoseFields):
-    """Position plus view direction. yaw in [0, 360), pitch in [-90, 90].
-
-    An immutable (x, y, z, pitch, yaw) tuple; construction normalizes
-    the two angles.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, z: float, pitch: float = 0.0, yaw: float = 0.0):
-        return tuple.__new__(cls, (x, y, z, max(-90.0, min(90.0, pitch)), yaw % 360.0))
 
     @property
     def position(self) -> Vec3:

@@ -94,6 +94,17 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config_text("just nonsense")
 
 
+# a weight, a probability and a split fraction: each float field kind
+NON_FINITE_FIELDS = [
+    ("weight_property", "inf"),
+    ("weight_temporal", "nan"),
+    ("negation_prob", "-inf"),
+    ("split_valid", "nan"),
+]
+# seeds _derive_seed cannot pack as a signed 64-bit integer
+OUT_OF_RANGE_SEEDS = [("seed", str(2**63)), ("seed", str(-(2**63) - 1))]
+
+
 def test_config_validation_messages_name_fields():
     with pytest.raises(ConfigError, match="world_size"):
         GenConfig(world_size=2).validate()
@@ -105,6 +116,35 @@ def test_config_validation_messages_name_fields():
         GenConfig(split_train=0.9, split_valid=0.2, split_test=0.1).validate()
     with pytest.raises(ConfigError, match="weights"):
         GenConfig(weight_property=0, weight_temporal=0, weight_geometric=0).validate()
+    for field, value in NON_FINITE_FIELDS:
+        with pytest.raises(ConfigError, match=f"{field}: must be a finite number"):
+            GenConfig(**{field: float(value)}).validate()
+    for _, seed in OUT_OF_RANGE_SEEDS:
+        with pytest.raises(ConfigError, match="seed"):
+            GenConfig(seed=int(seed)).validate()
+    GenConfig(seed=2**63 - 1).validate()
+    GenConfig(seed=-(2**63)).validate()
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE_FIELDS + OUT_OF_RANGE_SEEDS)
+def test_a_value_generate_cannot_use_exits_1_naming_its_field(tmp_path, capsys, field, value):
+    out = tmp_path / "out"
+    argv = ["generate", "--out", str(out), "--n-samples", "2", "--set", f"{field}={value}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE_FIELDS + OUT_OF_RANGE_SEEDS)
+def test_a_value_validate_cannot_use_exits_1_naming_its_field(tmp_path, capsys, field, value):
+    dataset, cfg = tmp_path / "train.jsonl", tmp_path / "gen.cfg"
+    dataset.write_text("", encoding="utf-8")
+    cfg.write_text(f"{field} = {value}\n", encoding="utf-8")
+    assert main(["validate", "--dataset", str(dataset), "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert field in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [cfg, dataset]
 
 
 def test_a_stepped_world_with_one_snapshot_exits_1_naming_world_steps(tmp_path, capsys):
@@ -321,8 +361,6 @@ def _on_cpus(config, index, **run_inputs):
     reason="needs CPU binding and two CPUs",
 )
 def test_generate_workers_each_run_on_their_own_cpus(tmp_path, monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see a patched generate_sample only when forked")
     cpus = os.sched_getaffinity(0)
     monkeypatch.setattr(cli, "generate_sample", _on_cpus)
     stats = generate(small_config(tmp_path, n_samples=4), workers=2)
@@ -347,8 +385,6 @@ def _no_terminate(*args):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failed_generate_leaves_no_files_and_no_children(tmp_path, monkeypatch, workers):
-    if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see a patched generate_sample only when forked")
     for owner, name in (
         (multiprocessing.process.BaseProcess, "terminate"),
         (multiprocessing.process.BaseProcess, "kill"),
@@ -367,8 +403,6 @@ def test_failed_generate_leaves_no_files_and_no_children(tmp_path, monkeypatch, 
 
 
 def test_a_failed_range_stops_the_ranges_above_it(tmp_path, monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see a patched generate_sample only when forked")
     failed, written = tmp_path / "failed", tmp_path / "written"
     failing = _failing_at(5, before_failing=failed.touch)
 
@@ -393,8 +427,6 @@ def test_a_failed_range_stops_the_ranges_above_it(tmp_path, monkeypatch):
 
 
 def test_four_range_writers_keep_range_order_and_raise_the_lowest_failure(tmp_path, monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see a patched generate_sample only when forked")
     workers = 4  # more than the CPUs of a small host, so some go unbound
     config = small_config(tmp_path, n_samples=10 * workers)
     generate(config)
@@ -421,8 +453,6 @@ def _dying_at_20(config, index, **run_inputs):
 
 
 def test_a_worker_that_dies_exits_3_naming_it(tmp_path, monkeypatch, capsys):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see a patched generate_sample only when forked")
     monkeypatch.setattr(cli, "generate_sample", _dying_at_20)
     out = tmp_path / "ds"
     assert main(["generate", "--out", str(out), "--n-samples", "30", "--workers", "2"]) == 3
@@ -452,6 +482,53 @@ def test_a_parallel_run_imports_no_ctypes(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+_A_RUN_UNDER_FORKSERVER = """
+import json, multiprocessing, sys
+# the Linux default from CPython 3.14 on, set before gridqa is imported
+multiprocessing.set_start_method("forkserver")
+from gridqa import cli
+from gridqa.config import GenConfig
+
+real = cli.generate_sample
+
+def marked(config, index, **run_inputs):
+    _, return_type, attempt, line = real(config, index, **run_inputs)
+    return "marked", return_type, attempt, line
+
+cli.generate_sample = marked
+cli.generate(GenConfig(n_samples=6, seed=7, out_dir=sys.argv[1]), workers=2)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_range_writers_are_forked_under_a_forkserver_default(tmp_path):
+    # only a forked writer sees the patched generate_sample; one started by the
+    # forkserver imports gridqa afresh and counts the real query classes
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "ds"
+    argv = [sys.executable, "-c", _A_RUN_UNDER_FORKSERVER, str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert stats["n_samples"] == 6
+    assert stats["by_class"] == {"marked": 6}
+
+
+def test_workers_are_refused_where_fork_does_not_exist(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    config = small_config(tmp_path, n_samples=4)
+    with pytest.raises(ConfigError, match="workers"):
+        generate(config, workers=2)
+    assert not Path(config.out_dir).exists()
+    out = tmp_path / "ds"
+    assert main(["generate", "--out", str(out), "--n-samples", "4", "--workers", "2"]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+    generate(config, workers=1)  # a serial run needs no fork
 
 
 @pytest.mark.parametrize("workers", [0, (os.cpu_count() or 1) + 1])
