@@ -120,6 +120,9 @@ def step_world(
 
     NPCs walk on plain floats for the whole call; each NPC that moved
     gets one new Pose at the end, facing the heading of its last move.
+    A move changes only x and z, and clamps and snaps them. y is clamped
+    and snapped at an NPC's first move in the call only: after it, y is
+    in range and on the 0.1 grid, where doing so again changes nothing.
     """
     npcs = world.npcs()
     # [x, y, z, last dx, last dz] per NPC; last dx stays None until it moves
@@ -128,20 +131,23 @@ def step_world(
     start, end = (task.start_step, task.start_step + task.duration) if task is not None else (0, 0)
     hi = world.world_size - 0.1
     draw, cos, sin = rng.random, math.cos, math.sin
+    move_prob, max_step, full_turn = NPC_MOVE_PROB, NPC_MAX_STEP, _FULL_TURN
     for _ in range(n_steps):
         for s in walkers.values():
-            if draw() >= NPC_MOVE_PROB:
+            if draw() >= move_prob:
                 continue
             # rng.uniform(0, b) is 0.0 + b * random(): the same draws, inlined
-            angle = _FULL_TURN * draw()
-            length = NPC_MAX_STEP * draw()
+            angle = full_turn * draw()
+            length = max_step * draw()
             dx = length * cos(angle)
             dz = length * sin(angle)
-            x, y, z = s[0] + dx, s[1], s[2] + dz
+            x, z = s[0] + dx, s[2] + dz
             # WorldState.clamp, inlined
             s[0] = round((0.0 if x < 0.0 else hi if x > hi else x) * 10.0) / 10.0
-            s[1] = round((0.0 if y < 0.0 else hi if y > hi else y) * 10.0) / 10.0
             s[2] = round((0.0 if z < 0.0 else hi if z > hi else z) * 10.0) / 10.0
+            if s[3] is None:
+                y = s[1]
+                s[1] = round((0.0 if y < 0.0 else hi if y > hi else y) * 10.0) / 10.0
             s[3] = dx
             s[4] = dz
         if start <= world.clock < end:

@@ -59,10 +59,10 @@ class DatasetIOError(OSError):
 
 
 def _entity_line(e: Entity) -> str:
-    x, y, z = e.pose.position
+    x, y, z, pitch, yaw = e.pose
     return (
         f"{e.name} is a {e.color} {e.type_word} at ({x:.1f}, {y:.1f}, {z:.1f}) "
-        f"facing yaw {round(e.pose.yaw)} pitch {round(e.pose.pitch)}"
+        f"facing yaw {round(yaw)} pitch {round(pitch)}"
     )
 
 
@@ -71,8 +71,17 @@ def _block_line(b: BlockObject) -> str:
     return f"inst_seg {b.shape} colored {b.color} at ({cx}, {cy}, {cz}) with {len(b.voxels)} blocks"
 
 
-def section_lines(snapshot: Snapshot) -> list[str]:
-    """Fact lines for one snapshot, in canonical (pre-shuffle) order."""
+def section_lines(snapshot: Snapshot, block_lines: dict | None = None) -> list[str]:
+    """Fact lines for one snapshot, in canonical (pre-shuffle) order.
+
+    block_lines maps each block already seen to its line;
+    render_text_context shares one across a record's snapshots, so each
+    block line is built once per record. Without it every line is built
+    fresh. A has_tag line is built at every snapshot: looking it up
+    would cost as much as building it.
+    """
+    if block_lines is None:
+        block_lines = {}
     lines = []
     names = {}
     for obj in snapshot.reference_objects:
@@ -80,19 +89,35 @@ def section_lines(snapshot: Snapshot) -> list[str]:
             lines.append(_entity_line(obj))
             names[obj.memid] = obj.name
         else:
-            lines.append(_block_line(obj))
-    for triple in snapshot.triples:
-        if triple.predicate == "has_tag" and triple.subject_memid in names:
-            lines.append(f"{names[triple.subject_memid]} {triple.predicate} {triple.object_text}")
+            line = block_lines.get(obj)
+            if line is None:
+                line = block_lines[obj] = _block_line(obj)
+            lines.append(line)
+    for _, subject_memid, predicate, object_text in snapshot.triples:
+        if predicate == "has_tag" and subject_memid in names:
+            lines.append(f"{names[subject_memid]} has_tag {object_text}")
     return lines
 
 
 def render_text_context(snapshots: list[Snapshot], rng: random.Random) -> str:
-    """Flatten snapshots into the templated text dump."""
+    """Flatten snapshots into the templated text dump.
+
+    The snapshots share one block line cache (see section_lines). Each
+    section's shuffle makes the draws of rng.shuffle: CPython's
+    _randbelow(n) loop over rng.getrandbits(n.bit_length()), inlined.
+    """
+    getrandbits = rng.getrandbits
+    block_lines: dict[BlockObject, str] = {}
     sections = []
     for snapshot in snapshots:
-        lines = section_lines(snapshot)
-        rng.shuffle(lines)
+        lines = section_lines(snapshot, block_lines)
+        for i in range(len(lines) - 1, 0, -1):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            lines[i], lines[j] = lines[j], lines[i]
         sections.append("\n".join([f"t={snapshot.time_index}:"] + lines))
     return "\n".join(sections)
 
@@ -100,24 +125,17 @@ def render_text_context(snapshots: list[Snapshot], rng: random.Random) -> str:
 # --- relational context ---------------------------------------------------------
 
 
-class _Hexes(dict):
-    """memid -> memid_hex(memid), formatted on first lookup."""
-
-    def __missing__(self, memid: int) -> str:
-        text = self[memid] = memid_hex(memid)
-        return text
-
-
 def _floats(values) -> str:
     # repr is the conversion json.dumps applies to a float, and to an int
     return ",".join(map(repr, values))
 
 
-def _block_node(block: BlockObject, hexes: _Hexes) -> tuple[str, str]:
-    """A block node's text before and after its time_index value."""
+def _block_node(block: BlockObject, rid: str) -> tuple[str, str]:
+    """A block node's text before and after its time_index value; rid is
+    memid_hex(block.memid)."""
     voxels = ",".join(f"[{x},{y},{z}]" for x, y, z in sorted(block.voxels))
     return (
-        f'{{"reference_object_hash":"{hexes[block.memid]}",'
+        f'{{"reference_object_hash":"{rid}",'
         f'"reference_objects_float":[{_floats(block.centroid)},0.0,0.0],'
         f'"reference_objects_words":["inst_seg",{_json_str(block.shape)},'
         f'{_json_str(block.color)}],"time_index":',
@@ -125,11 +143,13 @@ def _block_node(block: BlockObject, hexes: _Hexes) -> tuple[str, str]:
     )
 
 
-def _triple_tail(triple: Triple, hexes: _Hexes) -> str:
-    """A triple node's text after its time_index value."""
+def _triple_tail(triple: Triple, hexes: dict[int, str]) -> str:
+    """A triple node's text after its time_index value. Its t_id appears
+    in no other tail, so it is formatted here, not kept in hexes."""
     t_id, subject_memid, predicate, object_text = triple
+    subject = hexes.get(subject_memid) or memid_hex(subject_memid)
     return (
-        f',"triples_hash":["{hexes[t_id]}","{hexes[subject_memid]}"],'
+        f',"triples_hash":["{memid_hex(t_id)}","{subject}"],'
         f'"triples_words":[{_json_str(predicate)},{_json_str(object_text)}]}}'
     )
 
@@ -141,10 +161,10 @@ def render_relational_context(snapshots: list[Snapshot]) -> str:
 
     Only the time_index differs between the nodes of one block or one
     triple at different snapshots, so the text around it is built once
-    per call, as is each memid's text; entity nodes are formatted once
-    per snapshot.
+    per call, as is each object memid's text; entity nodes are formatted
+    once per snapshot.
     """
-    hexes = _Hexes()
+    hexes: dict[int, str] = {}  # reference object memid -> memid_hex(memid)
     blocks: dict[BlockObject, tuple[str, str]] = {}
     tails_of: dict[Triple, str] = {}
     triples, tails = None, []
@@ -153,16 +173,18 @@ def render_relational_context(snapshots: list[Snapshot]) -> str:
     for snapshot in snapshots:
         t = str(snapshot.time_index)
         for obj in snapshot.reference_objects:
+            memid = obj.memid
+            rid = hexes.get(memid) or hexes.setdefault(memid, memid_hex(memid))
             if isinstance(obj, Entity):
                 ref_nodes.append(
-                    f'{{"reference_object_hash":"{hexes[obj.memid]}",'
+                    f'{{"reference_object_hash":"{rid}",'
                     # a Pose is the tuple (x, y, z, pitch, yaw)
                     f'"reference_objects_float":[{_floats(obj.pose)}],'
                     f'"reference_objects_words":[{_json_str(obj.name)},'
                     f'{_json_str(obj.type_word)},{_json_str(obj.color)}],"time_index":{t}}}'
                 )
             else:
-                head, tail = blocks.get(obj) or blocks.setdefault(obj, _block_node(obj, hexes))
+                head, tail = blocks.get(obj) or blocks.setdefault(obj, _block_node(obj, rid))
                 ref_nodes.append(head + t + tail)
         if snapshot.triples != triples:  # a snapshot mostly repeats the last one's triples
             triples = snapshot.triples
@@ -182,9 +204,14 @@ def read_relational_context(context: dict) -> list[Snapshot]:
 
     A block node that repeats an earlier node's id, words and voxels
     reuses that node's BlockObject instead of rebuilding its voxel set.
+    In a context of several snapshots, a triple node that repeats an
+    earlier one's t_id, subject id and words reuses its Triple instead
+    of parsing the two ids again; with one snapshot no node repeats, so
+    no triple is kept for reuse.
     """
     by_time: dict[int, tuple[list, list]] = {}
     blocks: dict[str, tuple[list, list, BlockObject]] = {}
+    triples_of: dict[str, tuple[str, list, Triple]] = {}
     for node in context["reference_objects"]:
         objs, triples = by_time.setdefault(node["time_index"], ([], []))
         rid = node["reference_object_hash"]
@@ -206,11 +233,20 @@ def read_relational_context(context: dict) -> list[Snapshot]:
             kind = type_word if type_word in ("agent", "player") else "npc"
             npc_type = type_word if kind == "npc" else None
             objs.append(Entity(memid, kind, name, color, Pose(x, y, z, pitch, yaw), npc_type))
+    several_snapshots = len(by_time) > 1
     for node in context["triples"]:
         objs, triples = by_time.setdefault(node["time_index"], ([], []))
         t_hex, subject_hex = node["triples_hash"]
-        predicate, object_text = node["triples_words"]
-        triples.append(Triple(int(t_hex, 16), int(subject_hex, 16), predicate, object_text))
+        words = node["triples_words"]
+        seen = triples_of.get(t_hex)
+        if seen is not None and seen[0] == subject_hex and seen[1] == words:
+            triples.append(seen[2])
+            continue
+        predicate, object_text = words
+        triple = Triple(int(t_hex, 16), int(subject_hex, 16), predicate, object_text)
+        if several_snapshots:
+            triples_of[t_hex] = (subject_hex, words, triple)
+        triples.append(triple)
     snapshots = []
     for time_index in sorted(by_time):
         objs, triples = by_time[time_index]

@@ -259,7 +259,9 @@ def take_snapshot(world: WorldState, time_index: int) -> Snapshot:
     indices (run_episode uses schedule_snapshots); nothing checks it.
     Mutating the world afterwards never changes the snapshot.
     """
-    objects: list[RefObject] = [Entity(**vars(e)) for e in world.entities]
+    objects: list[RefObject] = [
+        Entity(e.memid, e.kind, e.name, e.color, e.pose, e.npc_type) for e in world.entities
+    ]
     objects.extend(world.block_objects)
     # memids are below 2**64, so the integer order is the order of memid_hex
     objects.sort(key=attrgetter("memid"))

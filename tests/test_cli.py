@@ -463,6 +463,27 @@ def test_a_worker_that_dies_exits_3_naming_it(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def _env_importing_this_gridqa() -> dict:
+    """os.environ with the gridqa under test first on PYTHONPATH, for a subprocess."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_python_dash_m_gridqa_runs_the_command_line(tmp_path):
+    def run(*args):
+        argv = [sys.executable, "-m", "gridqa", *args]
+        env = _env_importing_this_gridqa()
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("generate", "--n-samples", "0", "--out", str(tmp_path / "ds"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["n_samples"] == 0
+    done = run("generate", "--no-such-flag")
+    assert done.returncode == 1
+    assert "config error" in done.stderr and "Traceback" not in done.stderr
+
+
 _IMPORTS_OF_A_PARALLEL_RUN = """
 import sys
 from gridqa.cli import main
@@ -475,9 +496,7 @@ print(sorted(name for name in sys.modules if "ctypes" in name))
 def test_a_parallel_run_imports_no_ctypes(tmp_path):
     # shared memory (multiprocessing.Value) would import ctypes, at a cost of
     # several ms per command line; the range writers share only their pipes
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = _env_importing_this_gridqa()
     argv = [sys.executable, "-c", _IMPORTS_OF_A_PARALLEL_RUN, str(tmp_path / "ds")]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -506,9 +525,7 @@ cli.generate(GenConfig(n_samples=6, seed=7, out_dir=sys.argv[1]), workers=2)
 def test_range_writers_are_forked_under_a_forkserver_default(tmp_path):
     # only a forked writer sees the patched generate_sample; one started by the
     # forkserver imports gridqa afresh and counts the real query classes
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = _env_importing_this_gridqa()
     out = tmp_path / "ds"
     argv = [sys.executable, "-c", _A_RUN_UNDER_FORKSERVER, str(out)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)

@@ -119,6 +119,27 @@ def test_relational_round_trip_exact():
         assert restored == snapshots
 
 
+def test_relational_reader_reuses_only_a_node_that_repeats_in_full():
+    block = BlockObject(0x2A, "cube", "red", frozenset({(0, 0, 0), (1, 0, 0)}))
+    triple = Triple(0x10, 0x2A, "has_tag", "cube")
+    # the second snapshot repeats the first; each later one keeps the ids and
+    # changes one thing in the block and one in the triple
+    blue = dataclasses.replace(block, color="blue")
+    smaller = dataclasses.replace(blue, voxels=frozenset({(0, 0, 0)}))
+    other_subject = triple._replace(subject_memid=0x2B)
+    other_word = other_subject._replace(object_text="red")
+    snapshots = [
+        Snapshot(0, (block,), (triple,)),
+        Snapshot(1, (block,), (triple,)),
+        Snapshot(2, (blue,), (other_subject,)),
+        Snapshot(3, (smaller,), (other_word,)),
+    ]
+    restored = read_relational_context(json.loads(render_relational_context(snapshots)))
+    assert restored == snapshots
+    assert restored[1].reference_objects[0] is restored[0].reference_objects[0]
+    assert restored[1].triples[0] is restored[0].triples[0]
+
+
 def test_persistent_objects_share_rid_across_time():
     _, snapshots = make_episode(9)
     ctx = json.loads(render_relational_context(snapshots))
@@ -292,23 +313,44 @@ def plain_relational_context(snapshots):
     return {"reference_objects": ref_nodes, "triples": triple_nodes}
 
 
-def test_relational_render_matches_the_plain_render_for_every_task_kind():
-    # three snapshots, and a task in every episode: build, dig and destroy
-    # change the set of blocks between snapshots
+def episodes_of_every_task_kind(per_kind: int = 200):
+    """(seed, snapshots) of the first per_kind episodes of each task kind,
+    over three snapshots: build, dig and destroy change the set of blocks
+    between snapshots."""
     config = GenConfig(command_prob=1.0, world_steps=12, n_snapshots=3)
-    per_kind = dict.fromkeys(TASK_KINDS, 0)
-    seed = 0
-    while min(per_kind.values()) < 200:
-        action_log, snapshots = run_episode(config, random.Random(seed), pools_for(config))
+    count = dict.fromkeys(TASK_KINDS, 0)
+    seed = -1
+    while min(count.values()) < per_kind:
         seed += 1
+        action_log, snapshots = run_episode(config, random.Random(seed), pools_for(config))
         kind = action_log[0]["action"] if action_log else None
-        if kind is None or per_kind[kind] >= 200:
+        if kind is None or count[kind] >= per_kind:
             continue
-        per_kind[kind] += 1
-        rendered, plain = render_relational_context(snapshots), plain_relational_context(snapshots)
-        assert rendered == compact(plain), seed - 1
+        count[kind] += 1
         if kind in ("build", "dig", "destroy"):
             assert len(snapshot_blocks(snapshots[0])) != len(snapshot_blocks(snapshots[-1]))
+        yield seed, snapshots
+
+
+def test_relational_render_matches_the_plain_render_for_every_task_kind():
+    for seed, snapshots in episodes_of_every_task_kind():
+        rendered, plain = render_relational_context(snapshots), plain_relational_context(snapshots)
+        assert rendered == compact(plain), seed
+
+
+def test_text_render_matches_the_plain_render_for_every_task_kind():
+    # the plain render builds every line fresh and shuffles with
+    # Random.shuffle; render_text_context reuses block lines and inlines
+    # the shuffle, and must make the same draws
+    for seed, snapshots in episodes_of_every_task_kind():
+        rng, plain_rng = random.Random(seed), random.Random(seed)
+        sections = []
+        for snapshot in snapshots:
+            lines = section_lines(snapshot)
+            plain_rng.shuffle(lines)
+            sections.append("\n".join([f"t={snapshot.time_index}:"] + lines))
+        assert render_text_context(snapshots, rng) == "\n".join(sections), seed
+        assert rng.getstate() == plain_rng.getstate(), seed
 
 
 def test_relational_render_escapes_and_formats_numbers_like_json_dumps():
