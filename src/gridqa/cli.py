@@ -256,7 +256,9 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
     last record, so a failed run leaves none of them.
     """
     config.validate()
-    cpus = os.cpu_count() or 1
+    # bound by the CPUs _worker_cpu_sets splits, those this process may run on, where known
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ConfigError(f"workers: must be between 1 and the CPU count {cpus}, got {workers}")
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -454,8 +456,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a dataset from a config")
-    gen.add_argument("--config", help="flat key=value config file")
-    gen.add_argument("--preset", choices=["default", "properties"], default="default")
+    base = gen.add_mutually_exclusive_group()  # without either, the default preset
+    base.add_argument("--config", help="flat key=value config file")
+    base.add_argument("--preset", choices=["default", "properties"])
     gen.add_argument("--out", help="output directory (overrides out_dir)")
     gen.add_argument("--n-samples", type=int, help="overrides n_samples")
     gen.add_argument("--seed", type=int, help="overrides seed")

@@ -19,7 +19,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .worldcore import Entity, Pose, Vec3, WorldState, memid_hex
+from .worldcore import Entity, Pose, Vec3, WorldState
 from . import scenegen, worldcore
 
 TASK_KINDS = ("move", "build", "destroy", "dig", "follow")
@@ -45,17 +45,15 @@ class Task(NamedTuple):
     duration: int
     start_step: int = 0
 
-    def log_entry(self, actor_memid: int) -> dict:
+    def log_entry(self, actor_memid: str) -> dict:
         """The task as an action_log entry, run by the entity actor_memid.
 
-        json.dumps writes its tuples as lists, as FORMAT.md shows them."""
-        parameters = dict(self.parameters)
-        if "target_memid" in parameters:
-            parameters["target_memid"] = memid_hex(parameters["target_memid"])
+        It shares the task's parameters dict, whose tuples json.dumps writes
+        as lists, as FORMAT.md shows them."""
         return {
-            "actor": memid_hex(actor_memid),
+            "actor": actor_memid,
             "action": self.kind,
-            "parameters": parameters,
+            "parameters": self.parameters,
             "step_interval": [self.start_step, self.start_step + self.duration],
         }
 

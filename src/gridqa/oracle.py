@@ -29,7 +29,6 @@ from .worldcore import (
     Snapshot,
     Vec3,
     horizontal_direction,
-    memid_hex,
     object_position,
     round_half_away,
 )
@@ -53,7 +52,7 @@ TIE_MARGIN = 1e-6
 @dataclass(frozen=True)
 class Answer:
     text: str
-    relevant_memids: tuple[str, ...]  # hex R_ids and T_ids, sorted
+    relevant_memids: tuple[str, ...]  # R_ids and T_ids, sorted
 
 
 def distance_to_point(obj: RefObject, point: Vec3) -> float:
@@ -80,7 +79,7 @@ def _frame_owner(frame: str, snapshot: Snapshot) -> Entity:
     return resolve_ref({"by": "me" if frame == "my" else "you"}, snapshot)
 
 
-def _argmax(scores: dict[int, float]) -> int:
+def _argmax(scores: dict[str, float]) -> str:
     if not scores:
         raise UnanswerableQueryError("empty argmax domain")
     ranked = sorted(scores.items(), key=lambda kv: -kv[1])
@@ -89,10 +88,10 @@ def _argmax(scores: dict[int, float]) -> int:
     return ranked[0][0]
 
 
-def movement_deltas(snapshots: list[Snapshot]) -> dict[int, Vec3]:
+def movement_deltas(snapshots: list[Snapshot]) -> dict[str, Vec3]:
     """Displacement of each animate object present at both endpoints."""
     first, last = snapshots[0], snapshots[-1]
-    deltas: dict[int, Vec3] = {}
+    deltas: dict[str, Vec3] = {}
     for entity in last.entities():
         if not first.has_memid(entity.memid):
             continue
@@ -109,12 +108,12 @@ def _dot(a: Vec3, b: Vec3) -> float:
 # --- clause evaluation: every evaluator takes (args, snapshots, action_log)
 
 
-def _triples_matching(snapshot: Snapshot, predicates, word: str) -> tuple[set[int], set[int]]:
+def _triples_matching(snapshot: Snapshot, predicates, word: str) -> tuple[set[str], set[str]]:
     triples = [t for t in snapshot.triples if t.predicate in predicates and t.object_text == word]
     return {t.subject_memid for t in triples}, {t.t_id for t in triples}
 
 
-def _threshold_filter(snapshot: Snapshot, value, args: dict) -> tuple[set[int], set[int]]:
+def _threshold_filter(snapshot: Snapshot, value, args: dict) -> tuple[set[str], set[str]]:
     threshold, less = args["threshold"], args["comparator"] == "less"
     matched = {
         obj.memid
@@ -124,7 +123,7 @@ def _threshold_filter(snapshot: Snapshot, value, args: dict) -> tuple[set[int], 
     return matched, set()
 
 
-def _side_scores(args: dict, snapshot: Snapshot) -> tuple[Entity, dict[int, float]]:
+def _side_scores(args: dict, snapshot: Snapshot) -> tuple[Entity, dict[str, float]]:
     """The frame owner, and each reference object's offset from it along the side."""
     owner = _frame_owner(args["frame"], snapshot)
     direction = horizontal_direction(owner.pose, args["side"])
@@ -271,11 +270,11 @@ def execute(form: QueryForm, snapshots: list[Snapshot], action_log=()) -> Answer
     if first.spec.returns:
         value, operands = clause_match_set(first, snapshots, action_log)
         text = format_answer(value, form.return_type)
-        return Answer(text, tuple(sorted(memid_hex(m) for m in operands)))
+        return Answer(text, tuple(sorted(operands)))
 
     last = snapshots[-1]
-    result: set[int] | None = None
-    matched_triples: set[int] = set()
+    result: set[str] | None = None
+    matched_triples: set[str] = set()
     for clause in form.clauses:
         memids, t_ids = clause_match_set(clause, snapshots, action_log)
         if clause.negated:
@@ -311,11 +310,6 @@ def execute(form: QueryForm, snapshots: list[Snapshot], action_log=()) -> Answer
         value = [object_position(o) for o in objects]
 
     text = format_answer(value, form.return_type)
-    relevant = {memid_hex(m) for m in answer_objs}
     subjects = {t.t_id: t.subject_memid for t in last.triples}
-    relevant |= {
-        memid_hex(t)
-        for t in matched_triples
-        if subjects.get(t) in answer_objs
-    }
+    relevant = answer_objs | {t for t in matched_triples if subjects.get(t) in answer_objs}
     return Answer(text, tuple(sorted(relevant)))

@@ -250,7 +250,8 @@ class ScenePools:
     def from_config(cls, config: "GenConfig") -> "ScenePools":
         """Read the pools config names. Raises ConfigError for a pool file that
         is empty or holds a word queries cannot carry, for a name pool that
-        repeats a name, and for one with fewer than n_npcs + 2 names."""
+        repeats a name, for one with fewer than n_npcs + 2 names, and for an
+        NPC type pool that holds an entity kind word (agent, player)."""
         if config.names_file:
             names = _load_words(Path(config.names_file))
             repeated = [name for name, n in Counter(names).items() if n > 1]
@@ -268,6 +269,13 @@ class ScenePools:
         npc_types = (
             _load_words(Path(config.npc_types_file)) if config.npc_types_file else NPC_TYPES
         )
+        # both contexts write an NPC's type where they write the agent's and the player's kind
+        kinds = [word for word in npc_types if word in (AGENT, PLAYER)]
+        if kinds:
+            raise ConfigError(
+                f"npc_types_file {config.npc_types_file}: {kinds[0]!r} is an entity kind, "
+                "not an NPC type"
+            )
         colors = _load_words(Path(config.colors_file)) if config.colors_file else COLORS
         return cls(names=names, npc_types=npc_types, colors=colors)
 

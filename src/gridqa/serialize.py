@@ -12,8 +12,9 @@ Entity coordinates print with one decimal; block centroids round to
 integers. Agent actions never appear in either context.
 
 The relational context holds one reference-object node and one triple
-node per snapshot occurrence, keyed by 16-hex-digit ids. Block nodes
-carry their voxel cells so the context reconstructs snapshots exactly.
+node per snapshot occurrence, keyed by memids, which are written as they
+are: 16 lowercase hex digits (worldcore.derive_memid). Block nodes carry
+their voxel cells so the context reconstructs snapshots exactly.
 render_relational_context returns it as JSON text, the bytes that
 json.dumps(context, sort_keys=True, separators=(",", ":")) writes; the read
 side (read_relational_context, relational_ids) takes the parsed dict.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
@@ -44,7 +46,6 @@ from .worldcore import (
     Pose,
     Snapshot,
     Triple,
-    memid_hex,
     round_half_away,
 )
 
@@ -124,18 +125,20 @@ def render_text_context(snapshots: list[Snapshot], rng: random.Random) -> str:
 
 # --- relational context ---------------------------------------------------------
 
+# a memid as derive_memid writes it
+_MEMID = re.compile("[0-9a-f]{16}").fullmatch
+
 
 def _floats(values) -> str:
     # repr is the conversion json.dumps applies to a float, and to an int
     return ",".join(map(repr, values))
 
 
-def _block_node(block: BlockObject, rid: str) -> tuple[str, str]:
-    """A block node's text before and after its time_index value; rid is
-    memid_hex(block.memid)."""
+def _block_node(block: BlockObject) -> tuple[str, str]:
+    """A block node's text before and after its time_index value."""
     voxels = ",".join(f"[{x},{y},{z}]" for x, y, z in sorted(block.voxels))
     return (
-        f'{{"reference_object_hash":"{rid}",'
+        f'{{"reference_object_hash":"{block.memid}",'
         f'"reference_objects_float":[{_floats(block.centroid)},0.0,0.0],'
         f'"reference_objects_words":["inst_seg",{_json_str(block.shape)},'
         f'{_json_str(block.color)}],"time_index":',
@@ -143,13 +146,11 @@ def _block_node(block: BlockObject, rid: str) -> tuple[str, str]:
     )
 
 
-def _triple_tail(triple: Triple, hexes: dict[int, str]) -> str:
-    """A triple node's text after its time_index value. Its t_id appears
-    in no other tail, so it is formatted here, not kept in hexes."""
+def _triple_tail(triple: Triple) -> str:
+    """A triple node's text after its time_index value."""
     t_id, subject_memid, predicate, object_text = triple
-    subject = hexes.get(subject_memid) or memid_hex(subject_memid)
     return (
-        f',"triples_hash":["{memid_hex(t_id)}","{subject}"],'
+        f',"triples_hash":["{t_id}","{subject_memid}"],'
         f'"triples_words":[{_json_str(predicate)},{_json_str(object_text)}]}}'
     )
 
@@ -159,39 +160,32 @@ def render_relational_context(snapshots: list[Snapshot]) -> str:
     as the JSON text json.dumps(context, sort_keys=True, separators=(",", ":"))
     would write.
 
-    Only the time_index differs between the nodes of one block or one
-    triple at different snapshots, so the text around it is built once
-    per call, as is each object memid's text; entity nodes are formatted
-    once per snapshot.
+    Memids go in as they are, 16 lowercase hex digits that JSON needs no
+    escape for. A block node's text around its time_index is built once per
+    call, entity nodes once per snapshot, and triple tails once per run of
+    snapshots with equal triples.
     """
-    hexes: dict[int, str] = {}  # reference object memid -> memid_hex(memid)
     blocks: dict[BlockObject, tuple[str, str]] = {}
-    tails_of: dict[Triple, str] = {}
     triples, tails = None, []
     ref_nodes = []
     triple_runs = []
     for snapshot in snapshots:
         t = str(snapshot.time_index)
         for obj in snapshot.reference_objects:
-            memid = obj.memid
-            rid = hexes.get(memid) or hexes.setdefault(memid, memid_hex(memid))
             if isinstance(obj, Entity):
                 ref_nodes.append(
-                    f'{{"reference_object_hash":"{rid}",'
+                    f'{{"reference_object_hash":"{obj.memid}",'
                     # a Pose is the tuple (x, y, z, pitch, yaw)
                     f'"reference_objects_float":[{_floats(obj.pose)}],'
                     f'"reference_objects_words":[{_json_str(obj.name)},'
                     f'{_json_str(obj.type_word)},{_json_str(obj.color)}],"time_index":{t}}}'
                 )
             else:
-                head, tail = blocks.get(obj) or blocks.setdefault(obj, _block_node(obj, rid))
+                head, tail = blocks.get(obj) or blocks.setdefault(obj, _block_node(obj))
                 ref_nodes.append(head + t + tail)
         if snapshot.triples != triples:  # a snapshot mostly repeats the last one's triples
             triples = snapshot.triples
-            tails = [
-                tails_of.get(triple) or tails_of.setdefault(triple, _triple_tail(triple, hexes))
-                for triple in triples
-            ]
+            tails = [_triple_tail(triple) for triple in triples]
         if tails:
             head = '{"time_index":' + t
             triple_runs.append(head + ("," + head).join(tails))
@@ -204,28 +198,27 @@ def read_relational_context(context: dict) -> list[Snapshot]:
 
     A block node that repeats an earlier node's id, words and voxels
     reuses that node's BlockObject instead of rebuilding its voxel set.
-    In a context of several snapshots, a triple node that repeats an
-    earlier one's t_id, subject id and words reuses its Triple instead
-    of parsing the two ids again; with one snapshot no node repeats, so
-    no triple is kept for reuse.
+    Raises ValueError for an id (a reference_object_hash or either
+    triples_hash entry) that is not 16 lowercase hex digits, the only form
+    derive_memid writes, and TypeError for one that is not a string.
     """
     by_time: dict[int, tuple[list, list]] = {}
     blocks: dict[str, tuple[list, list, BlockObject]] = {}
-    triples_of: dict[str, tuple[str, list, Triple]] = {}
+    ids = set()
     for node in context["reference_objects"]:
         objs, triples = by_time.setdefault(node["time_index"], ([], []))
-        rid = node["reference_object_hash"]
-        memid = int(rid, 16)
+        memid = node["reference_object_hash"]
+        ids.add(memid)
         words = node["reference_objects_words"]
         if words[0] == "inst_seg":
             voxels = node["voxels"]
-            seen = blocks.get(rid)
+            seen = blocks.get(memid)
             if seen is not None and seen[0] == words and seen[1] == voxels:
                 objs.append(seen[2])
                 continue
             _, shape, color = words
             block = BlockObject(memid, shape, color, frozenset(tuple(v) for v in voxels))
-            blocks[rid] = (words, voxels, block)
+            blocks[memid] = (words, voxels, block)
             objs.append(block)
         else:
             name, type_word, color = words
@@ -233,20 +226,17 @@ def read_relational_context(context: dict) -> list[Snapshot]:
             kind = type_word if type_word in ("agent", "player") else "npc"
             npc_type = type_word if kind == "npc" else None
             objs.append(Entity(memid, kind, name, color, Pose(x, y, z, pitch, yaw), npc_type))
-    several_snapshots = len(by_time) > 1
     for node in context["triples"]:
         objs, triples = by_time.setdefault(node["time_index"], ([], []))
-        t_hex, subject_hex = node["triples_hash"]
-        words = node["triples_words"]
-        seen = triples_of.get(t_hex)
-        if seen is not None and seen[0] == subject_hex and seen[1] == words:
-            triples.append(seen[2])
-            continue
-        predicate, object_text = words
-        triple = Triple(int(t_hex, 16), int(subject_hex, 16), predicate, object_text)
-        if several_snapshots:
-            triples_of[t_hex] = (subject_hex, words, triple)
-        triples.append(triple)
+        t_id, subject_memid = node["triples_hash"]
+        ids.add(t_id)
+        ids.add(subject_memid)
+        predicate, object_text = node["triples_words"]
+        triples.append(Triple(t_id, subject_memid, predicate, object_text))
+    # each distinct id is checked once; a non-str id raises TypeError here
+    if not all(map(_MEMID, ids)):
+        bad = min(memid for memid in ids if not _MEMID(memid))
+        raise ValueError(f"id {bad!r} is not 16 lowercase hex digits")
     snapshots = []
     for time_index in sorted(by_time):
         objs, triples = by_time[time_index]

@@ -2,8 +2,10 @@
 
 A world is a finite 3D grid holding animate entities (one agent, one
 player, any number of NPCs) and voxel block objects. Every object is
-keyed by a 64-bit memid, and descriptive facts about objects are stored
-as subject-predicate-object triples that carry their own memids.
+keyed by a memid, a 64-bit id that is 16 lowercase hex digits from the
+world state to the dataset record, and descriptive facts about objects
+are stored as subject-predicate-object triples that carry their own
+memids.
 
 Snapshots freeze the full world at a recorded timestep. Memids are
 stable across snapshots, so the same object keeps the same id at every
@@ -45,16 +47,14 @@ _pack_memid_key = struct.Struct("<qq").pack
 _MEMID_HASH = hashlib.blake2b(digest_size=8)
 
 
-def derive_memid(world_seed: int, counter: int) -> int:
+def derive_memid(world_seed: int, counter: int) -> str:
     """Deterministic 64-bit id: the 8-byte blake2b digest of the pair
-    (world_seed, counter) packed as two little-endian int64."""
+    (world_seed, counter) packed as two little-endian int64, read as a
+    little-endian integer and written as 16 lowercase hex digits, which sort
+    in the order of that integer. No other code writes an id."""
     h = _MEMID_HASH.copy()
     h.update(_pack_memid_key(world_seed, counter))
-    return int.from_bytes(h.digest(), "little")
-
-
-def memid_hex(memid: int) -> str:
-    return format(memid, "016x")
+    return h.digest()[::-1].hex()
 
 
 def snap_coord(v: float) -> float:
@@ -86,7 +86,7 @@ class Pose(NamedTuple):
 class Entity:
     """An animate reference object: the agent, the player, or an NPC."""
 
-    memid: int
+    memid: str
     kind: str  # agent | player | npc
     name: str
     color: str
@@ -107,7 +107,7 @@ class BlockObject:
     it is not a field, so it enters neither ==, hash nor repr.
     """
 
-    memid: int
+    memid: str
     shape: str
     color: str
     voxels: frozenset[Cell]
@@ -122,8 +122,8 @@ class BlockObject:
 
 
 class Triple(NamedTuple):
-    t_id: int
-    subject_memid: int
+    t_id: str
+    subject_memid: str
     predicate: str
     object_text: str
 
@@ -166,20 +166,20 @@ class Snapshot:
     triples: tuple[Triple, ...]
 
     @cached_property
-    def _by_memid(self) -> dict[int, RefObject]:
+    def _by_memid(self) -> dict[str, RefObject]:
         # built on first lookup; not a field, so == and repr ignore it
         return {obj.memid: obj for obj in self.reference_objects}
 
-    def lookup(self, memid: int) -> RefObject:
+    def lookup(self, memid: str) -> RefObject:
         return self._by_memid[memid]
 
-    def has_memid(self, memid: int) -> bool:
+    def has_memid(self, memid: str) -> bool:
         return memid in self._by_memid
 
     def entities(self) -> list[Entity]:
         return [o for o in self.reference_objects if isinstance(o, Entity)]
 
-    def memids(self) -> set[int]:
+    def memids(self) -> set[str]:
         return set(self._by_memid)
 
 
@@ -195,7 +195,7 @@ class WorldState:
     triples: list[Triple] = field(default_factory=list)
     _memid_counter: int = 0
 
-    def new_memid(self) -> int:
+    def new_memid(self) -> str:
         memid = derive_memid(self.seed, self._memid_counter)
         self._memid_counter += 1
         return memid
@@ -225,12 +225,12 @@ class WorldState:
         self.add_triple(block.memid, "has_colour", color)
         return block
 
-    def add_triple(self, subject_memid: int, predicate: str, object_text: str) -> Triple:
+    def add_triple(self, subject_memid: str, predicate: str, object_text: str) -> Triple:
         triple = Triple(self.new_memid(), subject_memid, predicate, object_text)
         self.triples.append(triple)
         return triple
 
-    def remove_block(self, memid: int) -> None:
+    def remove_block(self, memid: str) -> None:
         self.block_objects = [b for b in self.block_objects if b.memid != memid]
         self.triples = [t for t in self.triples if t.subject_memid != memid]
 
@@ -263,7 +263,6 @@ def take_snapshot(world: WorldState, time_index: int) -> Snapshot:
         Entity(e.memid, e.kind, e.name, e.color, e.pose, e.npc_type) for e in world.entities
     ]
     objects.extend(world.block_objects)
-    # memids are below 2**64, so the integer order is the order of memid_hex
     objects.sort(key=attrgetter("memid"))
     triples = sorted(world.triples, key=attrgetter("t_id"))
     return Snapshot(time_index, tuple(objects), tuple(triples))

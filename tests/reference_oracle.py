@@ -9,7 +9,7 @@ must stay decoupled from gridqa.oracle internals.
 import math
 from decimal import ROUND_HALF_UP, Decimal
 
-from gridqa.worldcore import Entity, memid_hex
+from gridqa.worldcore import Entity
 
 UP = (0.0, 1.0, 0.0)
 PROPERTY_PREDS = ("has_tag", "has_colour", "has_type")
@@ -104,8 +104,8 @@ def movement(snapshots):
 def best(scores):
     top = max(scores.values())
     winners = sorted(m for m, s in scores.items() if s == top)
-    # equal-score ties break on the smaller hex id
-    return min(winners, key=memid_hex)
+    # equal-score ties break on the smaller id
+    return min(winners)
 
 
 def clause_members(clause, snapshots):

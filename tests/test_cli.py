@@ -484,6 +484,55 @@ def test_python_dash_m_gridqa_runs_the_command_line(tmp_path):
     assert "config error" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_output_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # memids are strings, whose hashes, and so the iteration order of sets
+    # of them, change with PYTHONHASHSEED from one process to the next
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        argv = [
+            sys.executable, "-m", "gridqa", "generate", "--out", str(out),
+            "--n-samples", "40", "--seed", "9", "--set", "command_prob=1.0",
+            "--set", "two_clause_prob=0.6", "--set", "n_snapshots=3",
+        ]
+        env = {**_env_importing_this_gridqa(), "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        names = ("train.jsonl", "valid.jsonl", "test.jsonl", "stats.json")
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
+def test_config_and_preset_together_exit_1_writing_nothing(tmp_path, capsys):
+    cfg, out = tmp_path / "c.cfg", tmp_path / "out"
+    cfg.write_text(GenConfig(n_samples=2).canonical_text() + "\n", encoding="utf-8")
+    argv = ["generate", "--config", str(cfg), "--preset", "properties", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--preset: not allowed with argument --config" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_TWO_WORKERS_ON_ONE_CPU = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from gridqa.cli import main
+sys.exit(main(["generate", "--out", sys.argv[1], "--n-samples", "4", "--workers", "2"]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU binding here")
+def test_workers_beyond_the_cpus_this_process_may_use_exit_1(tmp_path):
+    # the subprocess binds only itself to one CPU; the machine may have more
+    out = tmp_path / "ds"
+    argv = [sys.executable, "-c", _TWO_WORKERS_ON_ONE_CPU, str(out)]
+    env = _env_importing_this_gridqa()
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "workers: must be between 1 and the CPU count 1, got 2" in done.stderr
+    assert "Traceback" not in done.stderr and not out.exists()
+
+
 _IMPORTS_OF_A_PARALLEL_RUN = """
 import sys
 from gridqa.cli import main
@@ -891,11 +940,35 @@ def _drop_first_triples_hash(record):
     del record["context_relational"]["triples"][0]["triples_hash"]
 
 
+def _set_first_object_id(rid):
+    def corrupt(record):
+        record["context_relational"]["reference_objects"][0]["reference_object_hash"] = rid
+    return corrupt
+
+
+def _set_first_triple_subject_id(subject):
+    def corrupt(record):
+        record["context_relational"]["triples"][0]["triples_hash"][1] = subject
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, problem",
     [
         (_drop_first_triples_hash, "relational context unreadable: KeyError"),
         (lambda record: record.update(context_relational=5), "relational context unreadable"),
+        (
+            _set_first_object_id("0123456789abcdeg"),
+            "unreadable: ValueError: id '0123456789abcdeg' is not 16 lowercase hex digits",
+        ),
+        (
+            _set_first_triple_subject_id("subject 0x2a    "),
+            "unreadable: ValueError: id 'subject 0x2a    ' is not 16 lowercase hex digits",
+        ),
+        (
+            _set_first_object_id("0123456789ABCDEF"),
+            "unreadable: ValueError: id '0123456789ABCDEF' is not 16 lowercase hex digits",
+        ),
         (lambda record: record.update(answer_memids=None), "answer_memids"),
         (lambda record: record.update(answer_text=5), "answer_text is not a string: 5"),
         (lambda record: record.update(query_logical_form=[]), "query_logical_form is not"),
@@ -905,6 +978,9 @@ def _drop_first_triples_hash(record):
     ids=[
         "triple-without-hash",
         "context-not-an-object",
+        "non-hex-object-id",
+        "non-hex-triple-subject-id",
+        "uppercase-object-id",
         "null-answer-memids",
         "answer-not-a-string",
         "form-not-an-object",
@@ -1145,4 +1221,15 @@ def test_a_name_pool_that_repeats_a_name_exits_1_naming_it(tmp_path, capsys):
     assert main(["generate", "--out", str(out), "--set", f"names_file={pool}"]) == 1
     err = capsys.readouterr().err
     assert f"names_file {pool}: 'ada' appears more than once" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["agent", "player"])
+def test_an_npc_type_pool_holding_an_entity_kind_exits_1_naming_it(tmp_path, capsys, kind):
+    # an NPC of type player would read back, from either context, as a second player
+    pool, out = tmp_path / "types.txt", tmp_path / "out"
+    pool.write_text(f"cow\n{kind}\n", encoding="utf-8")
+    assert main(["generate", "--out", str(out), "--set", f"npc_types_file={pool}"]) == 1
+    err = capsys.readouterr().err
+    assert f"npc_types_file {pool}: {kind!r} is an entity kind" in err
     assert "Traceback" not in err and not out.exists()

@@ -26,7 +26,7 @@ from gridqa.querygen import (
     sample_query,
 )
 from gridqa.serialize import relational_ids, render_relational_context
-from gridqa.worldcore import AGENT, NPC, PLAYER, Pose, memid_hex, take_snapshot
+from gridqa.worldcore import AGENT, NPC, PLAYER, Pose, take_snapshot
 
 
 def form1(kind, args, return_type, negated=False):
@@ -382,7 +382,7 @@ def test_relevant_memids_for_scalar_answers():
     answer = execute(form, [snap])
     bob = resolve_ref({"by": "name", "word": "bob"}, snap)
     sara = resolve_ref({"by": "me"}, snap)
-    assert set(answer.relevant_memids) == {memid_hex(bob.memid), memid_hex(sara.memid)}
+    assert set(answer.relevant_memids) == {bob.memid, sara.memid}
 
 
 def test_execute_matches_reference_oracle_on_random_scenes():

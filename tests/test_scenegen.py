@@ -336,8 +336,9 @@ def test_shape_caches_stay_bounded():
     assert scenegen._placement.cache_info().currsize <= 2 * distinct
 
 
-# derive_memid(seed, counter) as computed by
-# int.from_bytes(blake2b(struct.pack("<qq", seed, counter), digest_size=8).digest(), "little")
+# derive_memid(seed, counter) as the integer
+# int.from_bytes(blake2b(struct.pack("<qq", seed, counter), digest_size=8).digest(), "little"),
+# which derive_memid writes as 16 lowercase hex digits
 MEMID_TABLE = {
     (0, 0): 0x0E7494F907A55052,
     (0, 1): 0x70A94C03EEAA82EB,
@@ -352,4 +353,4 @@ MEMID_TABLE = {
 
 def test_derive_memid_matches_the_fixed_table():
     for (seed, counter), memid in MEMID_TABLE.items():
-        assert derive_memid(seed, counter) == memid
+        assert derive_memid(seed, counter) == format(memid, "016x")

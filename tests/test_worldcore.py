@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pickle
 import random
+import re
 from operator import attrgetter
 
 import pytest
@@ -20,7 +21,6 @@ from gridqa.worldcore import (
     Triple,
     derive_memid,
     horizontal_direction,
-    memid_hex,
     WorldState,
     snap_coord,
     take_snapshot,
@@ -61,7 +61,7 @@ def test_memids_deterministic_and_distinct():
     ids = {derive_memid(42, i) for i in range(1000)}
     assert len(ids) == 1000
     assert derive_memid(42, 0) != derive_memid(43, 0)
-    assert len(memid_hex(derive_memid(1, 1))) == 16
+    assert re.fullmatch("[0-9a-f]{16}", derive_memid(1, 1))
 
 
 def test_horizontal_direction_frame_convention():
@@ -243,7 +243,7 @@ def test_snapshot_memid_index_resolves_every_memid():
                 assert snap.lookup(obj.memid) is obj
                 assert snap.has_memid(obj.memid)
             assert snap.memids() == {obj.memid for obj in snap.reference_objects}
-            unknown = max(snap.memids()) + 1
+            unknown = format(int(max(snap.memids()), 16) + 1, "016x")
             assert not snap.has_memid(unknown)
             with pytest.raises(KeyError):
                 snap.lookup(unknown)
