@@ -149,10 +149,12 @@ def _counts() -> dict:
     return {"n_samples": 0, "scene_regenerations": 0, **by}
 
 
-def _write_range(config, lo, hi, paths, run_inputs, counts, stop=None) -> None:
+def _write_range(config, lo, hi, paths, run_inputs, counts, conn=None) -> None:
     """Generate indices lo..hi-1 in order, writing each record's line to
-    paths[its split] and counting it in counts. With stop, a connection, the
-    range ends before the next index once anything arrives on it."""
+    paths[its split] and counting it in counts. With conn, a connection to the
+    parent, a message waiting there is read before each index: on None the
+    range ends; on any other, it keeps the lower half of the indices left and
+    sends back its new hi, the first index it gave up."""
     with ExitStack() as stack:
         try:
             handles = {
@@ -161,9 +163,13 @@ def _write_range(config, lo, hi, paths, run_inputs, counts, stop=None) -> None:
             }
         except OSError as exc:
             raise DatasetIOError(f"cannot open output files in {config.out_dir}: {exc}") from exc
-        for index in range(lo, hi):
-            if stop is not None and stop.poll():
-                break
+        index = lo
+        while index < hi:
+            if conn is not None and conn.poll():
+                if conn.recv() is None:
+                    break
+                hi = index + (hi - index + 1) // 2
+                conn.send(hi)
             query_class, return_type, attempt, line = generate_sample(config, index, **run_inputs)
             split = split_of(config, index)
             handles[split].write(line)
@@ -172,11 +178,14 @@ def _write_range(config, lo, hi, paths, run_inputs, counts, stop=None) -> None:
             counts["by_class"][query_class] += 1
             counts["by_return_type"][return_type] += 1
             counts["scene_regenerations"] += attempt
+            index += 1
 
 
 def _range_writer(config, lo, hi, paths, run_inputs, conn, cpus) -> None:
-    """Child process of _write_ranges: writes its range until the parent sends
-    a stop on conn, then sends back the range's counts, or its error."""
+    """Child process of _write_ranges: writes its range, handing the parent the
+    upper half of what is left each time it asks, until the range is done or
+    the parent sends a stop; then sends back the counts of what it wrote, or
+    its error."""
     if cpus is not None:
         os.sched_setaffinity(0, cpus)
     report = _counts()
@@ -188,49 +197,83 @@ def _range_writer(config, lo, hi, paths, run_inputs, conn, cpus) -> None:
 
 
 def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
-    """_write_range over `workers` contiguous ranges of the indices, each in a
-    child process forked whatever the interpreter's default start method, so
-    it inherits the checked config and pools as they are, and bound on Linux to
-    its own CPUs. The parent appends their part files to paths in range order.
+    """_write_range over `workers` contiguous ranges of the indices. The parent
+    writes range 0 into paths; each other range goes to part files, written by
+    a child process forked whatever the interpreter's default start method, so
+    it inherits the checked config and pools as they are. On Linux each writer
+    is bound to its own CPUs, the parent until it returns.
 
-    The parent reads the children's reports in range order, so the first error
-    it reads is the lowest failed range's, the one a single writer would raise.
-    It raises that error at once, or ChildProcessError for a child that ended
-    without reporting; on the way out it stops every range still running and
-    joins every child."""
+    Then, child by child in range order, the parent takes the upper half of
+    the indices the child has left, into parts of its own, until it has none
+    to give, and reads the child's report. So the error raised is the lowest
+    index's, as in a serial run: range 0's at once, then a child's own, then
+    one in a part taken from it. A child that ended without reporting raises
+    ChildProcessError. The parent appends every part to paths in index order;
+    on the way out it stops every range still running and joins every child."""
     # taken here, not at import: get_context("fork") raises where fork does not exist
     fork = multiprocessing.get_context("fork")
     bounds = [config.n_samples * k // workers for k in range(workers + 1)]
     cpus = _worker_cpu_sets(workers) or [None] * workers
+    affinity = None if cpus[0] is None else os.sched_getaffinity(0)
     children = []
     try:
-        for k in range(workers):
-            parts = {split: path.with_suffix(f".{k}.tmp") for split, path in paths.items()}
+        for k in range(1, workers):
+            parts = [{split: path.with_suffix(f".{k}.tmp") for split, path in paths.items()}]
             conn, child_conn = fork.Pipe()
-            args = (config, bounds[k], bounds[k + 1], parts, run_inputs, child_conn, cpus[k])
+            args = (config, bounds[k], bounds[k + 1], parts[0], run_inputs, child_conn, cpus[k])
             child = fork.Process(target=_range_writer, args=args)
             child.start()
             child_conn.close()
             children.append((child, conn, parts))
-        for k, (child, conn, _) in enumerate(children):
-            try:
-                report = conn.recv()
-            except EOFError:
-                child.join()
-                raise ChildProcessError(
-                    f"worker {k} (samples {bounds[k]}..{bounds[k + 1] - 1}) ended with "
-                    f"exit code {child.exitcode} without reporting"
-                ) from None
-            if isinstance(report, Exception):
-                raise report
-            for key, value in report.items():
+        if affinity is not None:
+            os.sched_setaffinity(0, cpus[0])
+        _write_range(config, 0, bounds[1], paths, run_inputs, stats)
+        for k, (child, conn, parts) in enumerate(children, 1):
+            end, asking, held = bounds[k + 1], True, None
+            while True:
+                if asking:
+                    try:
+                        conn.send(True)  # a request for the upper half of what is left
+                    except OSError:  # the child has exited; its report is waiting
+                        asking = False
+                try:
+                    message = conn.recv()
+                except EOFError:
+                    child.join()
+                    raise ChildProcessError(
+                        f"worker {k} (samples {bounds[k]}..{bounds[k + 1] - 1}) ended with "
+                        f"exit code {child.exitcode} without reporting"
+                    ) from None
+                if type(message) is not int:
+                    break
+                asking = message < end  # the child gave up message..end-1
+                if asking:
+                    # each part taken lies below the ones before it, so parts stay in index order
+                    part = {
+                        split: path.with_suffix(f".{k}.{len(parts)}.tmp")
+                        for split, path in paths.items()
+                    }
+                    parts.insert(1, part)
+                    try:
+                        _write_range(config, message, end, part, run_inputs, stats)
+                    except Exception as exc:  # held: the child's own indices are lower
+                        asking, held = False, exc
+                    end = message
+            if isinstance(message, Exception):
+                raise message
+            if held is not None:
+                raise held
+            for key, value in message.items():
                 stats[key] += value
         for split, path in paths.items():
-            with path.open("wb") as out:
+            with path.open("ab") as out:
                 for _, _, parts in children:
-                    with parts[split].open("rb") as part:
-                        shutil.copyfileobj(part, out)
+                    for part in parts:
+                        with part[split].open("rb") as data:
+                            shutil.copyfileobj(data, out)
     finally:
+        if affinity is not None:
+            os.sched_setaffinity(0, affinity)
         for child, conn, parts in children:
             try:
                 conn.send(None)  # a stop, for a range still running
@@ -238,22 +281,24 @@ def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
                 pass
             child.join()
             conn.close()
-            for part in parts.values():
-                part.unlink(missing_ok=True)
+            for part in parts:
+                for path in part.values():
+                    path.unlink(missing_ok=True)
 
 
 def generate(config: GenConfig, workers: int = 1) -> dict:
     """Generate config.n_samples records across splits; returns the stats report.
 
-    With workers > 1 (refused where fork does not exist), one forked child per
-    contiguous range of the indices writes that range on its own CPUs, and the
-    parent reads their reports in range order (see _write_ranges): the output
-    is the serial output byte for byte, and a failed run raises the error the
-    serial run would. Besides the split files, out_dir gets stats.json and
-    config.cfg (the effective config, loadable by `validate --config`; a config
-    whose values would not read back from it is refused up front). All of them
-    are written to temporary files in out_dir and renamed into place after the
-    last record, so a failed run leaves none of them.
+    With workers > 1 (refused where fork does not exist), the indices split
+    into contiguous ranges: the parent writes the first, one forked child per
+    range the others, each on its own CPUs, and the parent then takes the upper
+    half of what a child has left, in range order (see _write_ranges). The
+    output is the serial output byte for byte, and a failed run raises the
+    error the serial run would. Besides the split files, out_dir gets
+    stats.json and config.cfg (the effective config, loadable by `validate
+    --config`; a config whose values would not read back from it is refused up
+    front). All of them are written to temporary files in out_dir and renamed
+    into place after the last record, so a failed run leaves none of them.
     """
     config.validate()
     # bound by the CPUs _worker_cpu_sets splits, those this process may run on, where known

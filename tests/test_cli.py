@@ -362,11 +362,99 @@ def _on_cpus(config, index, **run_inputs):
 )
 def test_generate_workers_each_run_on_their_own_cpus(tmp_path, monkeypatch):
     cpus = os.sched_getaffinity(0)
+    sets = [json.dumps(sorted(s)) for s in cli._worker_cpu_sets(2)]
     monkeypatch.setattr(cli, "generate_sample", _on_cpus)
     stats = generate(small_config(tmp_path, n_samples=4), workers=2)
-    assert stats["by_class"] == {json.dumps(sorted(s)): 2 for s in cli._worker_cpu_sets(2)}
-    # the parent only waits, and stays unbound
+    # how many records each set labels depends on which writer ran faster
+    assert set(stats["by_class"]) <= set(sets)
+    assert sum(stats["by_class"].values()) == 4
+    # the parent writes range 0, samples 0..1, on the first set, then gets its CPUs back
+    assert stats["by_class"][sets[0]] >= 2
     assert os.sched_getaffinity(0) == cpus
+
+
+def _slow_child(range_0_done: Path, last_of_range_0: int, failing=()):
+    """generate_sample that counts each record under the pid of its writer.
+    A child starts its first index only once the parent has written its range
+    (or failed), then takes 20 ms more per index, so the parent's first request
+    reaches it before its second index. Each failure appends "index writer" to
+    the file failed.log beside range_0_done."""
+    parent = os.getpid()
+
+    def sample(config, index, **run_inputs):
+        if os.getpid() == parent:
+            if index in failing:
+                range_0_done.touch()
+        else:
+            deadline = time.monotonic() + 30
+            while not range_0_done.exists() and time.monotonic() < deadline:
+                time.sleep(0.002)
+            time.sleep(0.02)
+        if index in failing:
+            with (range_0_done.parent / "failed.log").open("a") as log:
+                log.write(f"{index} {'parent' if os.getpid() == parent else 'child'}\n")
+            raise GenerationCapacityError(f"sample {index}: injected failure")
+        _, return_type, attempt, line = _real_generate_sample(config, index, **run_inputs)
+        if os.getpid() == parent and index == last_of_range_0:
+            range_0_done.touch()
+        return str(os.getpid()), return_type, attempt, line
+
+    return sample
+
+
+def test_the_parent_takes_the_upper_half_of_what_a_slow_child_has_left(tmp_path, monkeypatch):
+    config = small_config(tmp_path, n_samples=30)
+    serial = generate(config)
+    expected = {split: (Path(config.out_dir) / f"{split}.jsonl").read_bytes() for split in SPLITS}
+    parent = str(os.getpid())
+
+    # 2 workers: ranges 0..14 and 15..29
+    monkeypatch.setattr(cli, "generate_sample", _slow_child(tmp_path / "done-2", 14))
+    config = small_config(tmp_path, n_samples=30, out_dir=str(tmp_path / "taken"))
+    stats = generate(config, workers=2)
+    for split in SPLITS:
+        assert (Path(config.out_dir) / f"{split}.jsonl").read_bytes() == expected[split]
+    assert stats["n_samples"] == serial["n_samples"] and stats["by_split"] == serial["by_split"]
+    assert stats["by_class"][parent] > 15
+    assert len(stats["by_class"]) == 2  # the parent and one child
+
+    # 4 workers: ranges of 10; the parent takes from each child in turn
+    monkeypatch.setattr(cli, "generate_sample", _slow_child(tmp_path / "done-4", 9))
+    config = small_config(tmp_path, n_samples=40)
+    generate(dataclasses.replace(config, out_dir=str(tmp_path / "serial-40")))
+    out = tmp_path / "ranges"
+    out.mkdir()
+    paths = {split: out / f"{split}.jsonl" for split in SPLITS}
+    run_inputs = {"config_digest": config.digest(), "pools": pools_for(config)}
+    counts = cli._counts()
+    cli._write_ranges(config, 4, paths, run_inputs, counts)
+    for split, path in paths.items():
+        assert path.read_bytes() == (tmp_path / "serial-40" / f"{split}.jsonl").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in paths.values())
+    assert counts["by_class"][parent] > 10
+    assert len(counts["by_class"]) == 4  # the parent and three children
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "failing, failed",
+    [((16, 28), ["16 child", "28 parent"]), ((28,), ["28 parent"]), ((5,), ["5 parent"])],
+    ids=["child-below-taken", "taken", "range-0"],
+)
+def test_the_lowest_failure_wins_across_a_taken_part(tmp_path, monkeypatch, failing, failed):
+    # 30 samples at 2 workers: the child is asked before sample 16, so it keeps
+    # 15..22 and the parent takes 23..29
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    monkeypatch.setattr(cli, "generate_sample", _slow_child(tmp_path / "done", 14, failing))
+    config = small_config(tmp_path)
+    with pytest.raises(GenerationCapacityError) as err:
+        generate(config, workers=2)
+    assert str(err.value) == f"sample {failing[0]}: injected failure"
+    assert sorted((tmp_path / "failed.log").read_text().splitlines()) == failed
+    assert list(Path(config.out_dir).iterdir()) == []
+    assert multiprocessing.active_children() == []
+    if cpus is not None:
+        assert os.sched_getaffinity(0) == cpus
 
 
 def _failing_at(*indices, before_failing=lambda: None):
