@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import shutil
@@ -35,22 +34,19 @@ from .querygen import UnanswerableSceneError, parse_form, sample_query
 from .scenegen import SceneCapacityError, ScenePools
 from .serialize import (
     FORMAT_VERSION,
+    METADATA_KEYS,
     DatasetIOError,
     Sample,
+    context_ids,
     read_jsonl,
     read_relational_context,
     read_samples,
     record_line,
-    relational_ids,
     render_relational_context,
     render_text_context,
 )
 
 SPLITS = ("train", "valid", "test")
-# the keys of a record's generation_metadata (see generate_sample)
-METADATA_KEYS = (
-    "seed", "sample_index", "sample_seed", "scene_attempt", "config_digest", "action_log"
-)
 
 
 class GenerationCapacityError(RuntimeError):
@@ -104,29 +100,20 @@ def generate_sample(
             form, query_text, answer = sample_query(snapshots, config, rng, action_log)
         except UnanswerableSceneError:
             continue
-        logical_form = form.to_dict()
-        line = record_line(
-            {
-                "sample_id": index,
-                "query_class": form.query_class,
-                "context_text": render_text_context(snapshots, rng),
-                "context_relational": render_relational_context(snapshots),
-                "query_text": query_text,
-                "query_logical_form": logical_form,
-                "answer_text": answer.text,
-                "answer_memids": list(answer.relevant_memids),
-                "generation_metadata": {
-                    "seed": config.seed,
-                    "sample_index": index,
-                    "sample_seed": sample_seed,
-                    "scene_attempt": attempt,
-                    "config_digest": config_digest,
-                    "action_log": action_log,
-                },
-                "format_version": FORMAT_VERSION,
-            }
+        metadata = (config.seed, index, sample_seed, attempt, config_digest, action_log)
+        sample = Sample(
+            sample_id=index,
+            query_class=form.query_class,
+            context_text=render_text_context(snapshots, rng),
+            context_relational=render_relational_context(snapshots),
+            query_text=query_text,
+            query_logical_form=form.to_dict(),
+            answer_text=answer.text,
+            answer_memids=list(answer.relevant_memids),
+            generation_metadata=dict(zip(METADATA_KEYS, metadata, strict=True)),
+            format_version=FORMAT_VERSION,
         )
-        return form.query_class, logical_form["return_type"], attempt, line
+        return form.query_class, form.return_type, attempt, record_line(sample.to_record())
     raise GenerationCapacityError(
         f"sample {index}: no answerable scene in {config.scene_retries} retries"
     )
@@ -210,7 +197,8 @@ def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
     one in a part taken from it. A child that ended without reporting raises
     ChildProcessError. The parent appends every part to paths in index order;
     on the way out it stops every range still running and joins every child."""
-    # taken here, not at import: get_context("fork") raises where fork does not exist
+    # imported only by a run that forks, and get_context("fork") raises where fork does not exist
+    import multiprocessing
     fork = multiprocessing.get_context("fork")
     bounds = [config.n_samples * k // workers for k in range(workers + 1)]
     cpus = _worker_cpu_sets(workers) or [None] * workers
@@ -238,7 +226,8 @@ def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
                         asking = False
                 try:
                     message = conn.recv()
-                except EOFError:
+                # a reset: the child died with a request unread in its end of the pipe
+                except (EOFError, ConnectionResetError):
                     child.join()
                     raise ChildProcessError(
                         f"worker {k} (samples {bounds[k]}..{bounds[k + 1] - 1}) ended with "
@@ -306,8 +295,10 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
     cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ConfigError(f"workers: must be between 1 and the CPU count {cpus}, got {workers}")
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ConfigError(f"workers: must be 1 on a platform without fork, got {workers}")
+    if workers > 1:
+        import multiprocessing  # a serial run starts without it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError(f"workers: must be 1 on a platform without fork, got {workers}")
     # config.cfg must load back to this config, or it would regenerate something else
     config.check_round_trip()
     out_dir = Path(config.out_dir)
@@ -461,8 +452,7 @@ def validate_dataset(path: str | Path, config: GenConfig | None = None) -> list[
         elif not sample.answer_text:
             problems.append(f"{label}: empty answer text")
         try:
-            read_relational_context(sample.context_relational)
-            ids = relational_ids(sample.context_relational)
+            ids = context_ids(read_relational_context(sample.context_relational))
         except Exception as exc:
             problems.append(f"{label}: relational context unreadable: {type(exc).__name__}: {exc}")
             ids = None

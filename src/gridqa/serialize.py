@@ -17,7 +17,7 @@ are: 16 lowercase hex digits (worldcore.derive_memid). Block nodes carry
 their voxel cells so the context reconstructs snapshots exactly.
 render_relational_context returns it as JSON text, the bytes that
 json.dumps(context, sort_keys=True, separators=(",", ":")) writes; the read
-side (read_relational_context, relational_ids) takes the parsed dict.
+side (read_relational_context, then context_ids) takes the parsed dict.
 
 Dataset files are newline-delimited JSON records, one sample per line,
 with "format_version": 1: each line is
@@ -246,24 +246,30 @@ def read_relational_context(context: dict) -> list[Snapshot]:
     return snapshots
 
 
-def relational_ids(context: dict) -> set[str]:
-    """All R_ids and T_ids present in a relational context."""
-    ids = {node["reference_object_hash"] for node in context["reference_objects"]}
-    ids |= {node["triples_hash"][0] for node in context["triples"]}
+def context_ids(snapshots: list[Snapshot]) -> set[str]:
+    """The R_ids and T_ids of snapshots: object memids and triple t_ids, no subject ids."""
+    ids = {obj.memid for snapshot in snapshots for obj in snapshot.reference_objects}
+    ids.update(triple.t_id for snapshot in snapshots for triple in snapshot.triples)
     return ids
 
 
 # --- dataset records -------------------------------------------------------------
 
+# the keys of a record's generation_metadata, in the order generate_sample gives their values
+METADATA_KEYS = (
+    "seed", "sample_index", "sample_seed", "scene_attempt", "config_digest", "action_log"
+)
+
 
 @dataclass
 class Sample:
-    """One dataset record: both context forms, the query, and the answer."""
+    """One dataset record, whose fields are the record's keys: both context
+    forms, the query, the answer, and how to regenerate it (METADATA_KEYS)."""
 
     sample_id: int
     query_class: str
     context_text: str
-    context_relational: dict
+    context_relational: dict | str  # parsed, or render_relational_context's text to write
     query_text: str
     query_logical_form: dict
     answer_text: str

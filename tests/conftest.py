@@ -1,4 +1,6 @@
+import multiprocessing
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +22,37 @@ else:
     settings.register_profile("gridqa", derandomize=True, database=None)
     settings.load_profile("gridqa")
     set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "gridqa-hypothesis")
+
+
+def _proc_text(path) -> str:
+    """A /proc file's text, or "" once what it describes has ended."""
+    try:
+        return Path(path).read_text(errors="replace")
+    except OSError:
+        return ""
+
+
+def _live_children() -> dict[int, str]:
+    """A description of each live child of this process, by pid:
+    multiprocessing's, and on Linux the command line of every child of
+    every thread but a defunct one, read from /proc."""
+    children = {child.pid: repr(child) for child in multiprocessing.active_children()}
+    for path in Path("/proc/self/task").glob("*/children"):
+        for pid in _proc_text(path).split():
+            stat = _proc_text(f"/proc/{pid}/stat")
+            if stat and stat.rsplit(")", 1)[1].split()[0] != "Z":
+                children[int(pid)] = _proc_text(f"/proc/{pid}/cmdline").replace("\0", " ").strip()
+    return children
+
+
+def pytest_sessionfinish(session):
+    """Fail the run, naming each one, if a test left a child process running:
+    a child that holds the output pipe open hangs whatever reads it."""
+    children = _live_children()
+    for pid, command in sorted(children.items()):
+        print(f"\nchild process left running: pid {pid}: {command}", file=sys.stderr)
+    if children:
+        session.exitstatus = 1
 
 
 @pytest.fixture

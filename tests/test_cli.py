@@ -348,6 +348,7 @@ def test_worker_cpu_sets_split_the_cpus_of_this_process():
 
 
 _real_generate_sample = cli.generate_sample
+_TEST_PID = os.getpid()
 
 
 def _on_cpus(config, index, **run_inputs):
@@ -551,6 +552,26 @@ def test_a_worker_that_dies_exits_3_naming_it(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def _dying_at_20_with_a_request_unread(config, index, **run_inputs):
+    # the parent asks once range 0 is done, while the child sleeps past its poll
+    if index == 20 and os.getpid() != _TEST_PID:
+        time.sleep(0.2)
+        os._exit(1)
+    return _real_generate_sample(config, index, **run_inputs)
+
+
+def test_a_worker_that_dies_with_a_request_unread_exits_3_naming_it(tmp_path, monkeypatch, capsys):
+    # Linux resets the pipe of a child that dies with data unread in its end
+    monkeypatch.setattr(cli, "generate_sample", _dying_at_20_with_a_request_unread)
+    out = tmp_path / "ds"
+    assert main(["generate", "--out", str(out), "--n-samples", "30", "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "worker 1 (samples 15..29) ended with exit code 1 without reporting" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
 def _env_importing_this_gridqa() -> dict:
     """os.environ with the gridqa under test first on PYTHONPATH, for a subprocess."""
     src = str(Path(cli.__file__).parents[1])
@@ -621,23 +642,31 @@ def test_workers_beyond_the_cpus_this_process_may_use_exit_1(tmp_path):
     assert "Traceback" not in done.stderr and not out.exists()
 
 
-_IMPORTS_OF_A_PARALLEL_RUN = """
-import sys
+_IMPORTS_OF_A_RUN = """
+import json, sys
 from gridqa.cli import main
-assert main(["generate", "--out", sys.argv[1], "--n-samples", "4", "--workers", "2"]) == 0
-print(sorted(name for name in sys.modules if "ctypes" in name))
+argv = ["generate", "--out", sys.argv[1], "--n-samples", "4", "--workers", sys.argv[2]]
+assert main(argv) == 0
+print(json.dumps([
+    name for name in sys.modules
+    if "ctypes" in name or name.split(".")[0] == "multiprocessing"
+]))
 """
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 def test_a_parallel_run_imports_no_ctypes(tmp_path):
     # shared memory (multiprocessing.Value) would import ctypes, at a cost of
-    # several ms per command line; the range writers share only their pipes
+    # several ms per command line; the range writers share only their pipes.
+    # A serial run imports no multiprocessing at all.
     env = _env_importing_this_gridqa()
-    argv = [sys.executable, "-c", _IMPORTS_OF_A_PARALLEL_RUN, str(tmp_path / "ds")]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    for workers in ("1", "2"):
+        argv = [sys.executable, "-c", _IMPORTS_OF_A_RUN, str(tmp_path / workers), workers]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        modules = json.loads(done.stdout.splitlines()[-1])
+        assert not any("ctypes" in name for name in modules)
+        assert ("multiprocessing" in modules) == (workers == "2")
 
 
 _A_RUN_UNDER_FORKSERVER = """
@@ -1091,6 +1120,22 @@ def test_validate_reports_a_malformed_record_without_a_traceback(
     assert main(["validate", "--dataset", str(path)]) == 1
     err = capsys.readouterr().err
     assert problem in err and "Traceback" not in err
+
+
+def test_an_answer_memid_that_is_only_a_triple_subject_is_missing_from_context(tmp_path):
+    # the context's ids are its object memids and triple t_ids: a triple's
+    # subject is no id unless it is also a node
+    config = small_config(tmp_path, n_samples=2, split_train=1.0, split_valid=0.0, split_test=0.0)
+    generate(config)
+    path = Path(config.out_dir) / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    context, subject = records[1]["context_relational"], "00000000deadbeef"
+    assert subject not in path.read_text()
+    context["triples"][0]["triples_hash"][1] = subject
+    records[1]["answer_memids"] = [subject]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    problems = validate_dataset(path)
+    assert problems == [f"sample 1: answer memids missing from context: ['{subject}']"]
 
 
 def test_validate_holds_one_parsed_record_at_a_time(tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from gridqa.querygen import (
     allowed_return_types,
     sample_query,
 )
-from gridqa.serialize import relational_ids, render_relational_context
+from gridqa.serialize import context_ids, read_relational_context, render_relational_context
 from gridqa.worldcore import AGENT, NPC, PLAYER, Pose, take_snapshot
 
 
@@ -369,7 +369,8 @@ def test_answer_memids_resolve_in_relational_context():
         rng = random.Random(seed + 1000)
         form, _, _ = sample_query(snapshots, config, rng)
         answer = execute(form, snapshots)
-        ids = relational_ids(json.loads(render_relational_context(snapshots)))
+        context = json.loads(render_relational_context(snapshots))
+        ids = context_ids(read_relational_context(context))
         assert set(answer.relevant_memids) <= ids
 
 

@@ -13,10 +13,10 @@ from gridqa.cli import generate_sample
 from gridqa.serialize import (
     DatasetIOError,
     Sample,
+    context_ids,
     read_jsonl,
     read_relational_context,
     read_samples,
-    relational_ids,
     render_relational_context,
     render_text_context,
     section_lines,
@@ -248,7 +248,8 @@ def test_read_jsonl_closes_its_file_when_the_caller_stops_or_raises(tmp_path, mo
 def test_answer_memids_subset_of_relational_ids():
     for line in sample_lines(GenConfig(), range(10)):
         record = json.loads(line)
-        assert set(record["answer_memids"]) <= relational_ids(record["context_relational"])
+        snapshots = read_relational_context(record["context_relational"])
+        assert set(record["answer_memids"]) <= context_ids(snapshots)
 
 
 def test_action_names_never_in_context():
