@@ -185,10 +185,11 @@ def _range_writer(config, lo, hi, paths, run_inputs, conn, cpus) -> None:
 
 def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
     """_write_range over `workers` contiguous ranges of the indices. The parent
-    writes range 0 into paths; each other range goes to part files, written by
-    a child process forked whatever the interpreter's default start method, so
-    it inherits the checked config and pools as they are. On Linux each writer
-    is bound to its own CPUs, the parent until it returns.
+    writes range 0 into paths, the whole run where there is one writer; each
+    other range goes to part files, written by a child process forked whatever
+    the interpreter's default start method, so it inherits the checked config
+    and pools as they are. On Linux each writer is bound to its own CPUs, the
+    parent until it returns.
 
     Then, child by child in range order, the parent takes the upper half of
     the indices the child has left, into parts of its own, until it has none
@@ -197,15 +198,15 @@ def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
     one in a part taken from it. A child that ended without reporting raises
     ChildProcessError. The parent appends every part to paths in index order;
     on the way out it stops every range still running and joins every child."""
-    # imported only by a run that forks, and get_context("fork") raises where fork does not exist
-    import multiprocessing
-    fork = multiprocessing.get_context("fork")
     bounds = [config.n_samples * k // workers for k in range(workers + 1)]
     cpus = _worker_cpu_sets(workers) or [None] * workers
     affinity = None if cpus[0] is None else os.sched_getaffinity(0)
     children = []
     try:
         for k in range(1, workers):
+            # imported only by a run that forks; get_context raises where fork does not exist
+            import multiprocessing
+            fork = multiprocessing.get_context("fork")
             parts = [{split: path.with_suffix(f".{k}.tmp") for split, path in paths.items()}]
             conn, child_conn = fork.Pipe()
             args = (config, bounds[k], bounds[k + 1], parts[0], run_inputs, child_conn, cpus[k])
@@ -278,16 +279,17 @@ def _write_ranges(config, workers, paths, run_inputs, stats) -> None:
 def generate(config: GenConfig, workers: int = 1) -> dict:
     """Generate config.n_samples records across splits; returns the stats report.
 
-    With workers > 1 (refused where fork does not exist), the indices split
-    into contiguous ranges: the parent writes the first, one forked child per
-    range the others, each on its own CPUs, and the parent then takes the upper
-    half of what a child has left, in range order (see _write_ranges). The
-    output is the serial output byte for byte, and a failed run raises the
-    error the serial run would. Besides the split files, out_dir gets
-    stats.json and config.cfg (the effective config, loadable by `validate
-    --config`; a config whose values would not read back from it is refused up
-    front). All of them are written to temporary files in out_dir and renamed
-    into place after the last record, so a failed run leaves none of them.
+    The indices split into one contiguous range per writer, one writer when
+    workers is 1: the parent writes the first range, one forked child each of
+    the others (workers > 1 is refused where fork does not exist), each on its
+    own CPUs, and the parent then takes the upper half of what a child has
+    left, in range order (see _write_ranges). The output is the one-writer
+    output byte for byte, and a failed run raises the error that run would.
+    Besides the split files, out_dir gets stats.json and config.cfg (the
+    effective config, loadable by `validate --config`; config.validate()
+    refuses up front a config whose values would not read back from it). All
+    of them are written to temporary files in out_dir and renamed into place
+    after the last record, so a failed run leaves none of them.
     """
     config.validate()
     # bound by the CPUs _worker_cpu_sets splits, those this process may run on, where known
@@ -299,8 +301,6 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
         import multiprocessing  # a serial run starts without it
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigError(f"workers: must be 1 on a platform without fork, got {workers}")
-    # config.cfg must load back to this config, or it would regenerate something else
-    config.check_round_trip()
     out_dir = Path(config.out_dir)
     names = [f"{split}.jsonl" for split in SPLITS] + ["stats.json", "config.cfg"]
     temps = {name: out_dir / f".{name}.tmp" for name in names}
@@ -311,12 +311,9 @@ def generate(config: GenConfig, workers: int = 1) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DatasetIOError(f"cannot create output directory {out_dir}: {exc}") from exc
-    workers = min(workers, config.n_samples)  # no range is empty
+    workers = max(1, min(workers, config.n_samples))  # no range is empty unless the run is
     try:
-        if workers > 1:
-            _write_ranges(config, workers, split_temps, run_inputs, stats)
-        else:
-            _write_range(config, 0, config.n_samples, split_temps, run_inputs, stats)
+        _write_ranges(config, workers, split_temps, run_inputs, stats)
         # every split is listed, an empty one with 0
         stats["by_split"] = {split: stats["by_split"][split] for split in SPLITS}
         try:

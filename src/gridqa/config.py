@@ -116,33 +116,8 @@ class GenConfig:
             raise ConfigError("query_attempts: must be >= 1")
         if self.scene_retries < 1:
             raise ConfigError("scene_retries: must be >= 1")
-
-    def digest(self) -> str:
-        """Stable hash of the fields that decide a record's content.
-
-        Where the run writes, how many samples it makes and how it splits
-        them leave each record unchanged, so they stay out. Pool files
-        enter by content, not by path.
-        """
-        lines = []
-        for f in fields(self):
-            if f.name in _RECORD_INDEPENDENT:
-                continue
-            value = getattr(self, f.name)
-            if f.name in _POOL_FILES and value is not None:
-                value = hashlib.sha256(Path(value).read_bytes()).hexdigest()
-            lines.append(f"{f.name}={value!r}")
-        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
-
-    def canonical_text(self) -> str:
-        return "\n".join(f"{f.name} = {_render(getattr(self, f.name))}" for f in fields(self))
-
-    def check_round_trip(self) -> None:
-        """Raise ConfigError naming a field that canonical_text() cannot carry.
-
-        A value with surrounding whitespace, a line break or a ` #` would
-        read back from config.cfg as something else.
-        """
+        # config.cfg must load back to this config, or it would regenerate something else;
+        # checked last, so a value refused above (nan != nan, for one) keeps its message
         for f in fields(self):
             value = getattr(self, f.name)
             try:
@@ -151,6 +126,29 @@ class GenConfig:
                 same = False
             if not same:
                 raise ConfigError(f"{f.name}: {value!r} does not read back from a config file")
+
+    def digest(self) -> str:
+        """Stable hash of the fields that decide a record's content.
+
+        Where the run writes, how many samples it makes and how it splits
+        them leave each record unchanged, so they stay out. Pool files
+        enter by content, not by path, and a number as config.cfg reads it
+        back, so 0 and 0.0 digest alike.
+        """
+        lines = []
+        for f in fields(self):
+            if f.name in _RECORD_INDEPENDENT:
+                continue
+            value = getattr(self, f.name)
+            if f.name in _POOL_FILES and value is not None:
+                value = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+            elif f.type == "float":
+                value = float(value)
+            lines.append(f"{f.name}={value!r}")
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+    def canonical_text(self) -> str:
+        return "\n".join(f"{f.name} = {_render(getattr(self, f.name))}" for f in fields(self))
 
 
 _RECORD_INDEPENDENT = frozenset(

@@ -116,6 +116,11 @@ def validate_form(form: QueryForm) -> None:
         )
 
 
+def _singular(clauses: tuple[Clause, ...]) -> bool:
+    """Whether a query selects one object: one clause, an argmax kind, not negated."""
+    return len(clauses) == 1 and clauses[0].spec.argmax and not clauses[0].negated
+
+
 def allowed_return_types(clauses: tuple[Clause, ...], op: str | None) -> tuple[str, ...]:
     """Return types compatible with a clause combination.
 
@@ -127,7 +132,7 @@ def allowed_return_types(clauses: tuple[Clause, ...], op: str | None) -> tuple[s
     first = clauses[0]
     if first.spec.returns:
         return (first.spec.returns,)
-    if len(clauses) == 1 and first.spec.argmax and not first.negated:
+    if _singular(clauses):
         return ("name", "tag")
     allowed = {"name", "tag", "location", "count"}
     if op != "or":
@@ -265,10 +270,9 @@ def render_text(form: QueryForm) -> str:
     first = form.clauses[0]
     if first.spec.returns:
         return _render_clause(first)
-    singular = len(form.clauses) == 1 and first.spec.argmax and not first.negated
     joiner = f" {form.op} " if form.op else ""
     body = joiner.join(_render_clause(c) for c in form.clauses)
-    return f"{HEADS[(form.return_type, singular)]} {body}?"
+    return f"{HEADS[(form.return_type, _singular(form.clauses))]} {body}?"
 
 
 def _parse_fragment(text: str, offset: int) -> Clause:

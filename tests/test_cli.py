@@ -740,7 +740,7 @@ def test_value_that_does_not_round_trip_exits_1_before_any_output(tmp_path, caps
     assert "out_dir" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
     with pytest.raises(ConfigError, match="names_file"):
-        GenConfig(names_file=" padded.txt").check_round_trip()
+        GenConfig(names_file=" padded.txt").validate()
 
 
 # sha256 over train, valid and test (in that order) for 30 samples at seed 7.
@@ -1038,6 +1038,32 @@ def test_validate_checks_the_config_before_any_record(tmp_path, capsys):
     config.write_text("world_size = 2\n", encoding="utf-8")
     assert main(["validate", "--dataset", str(dataset), "--config", str(config)]) == 1
     assert "world_size" in capsys.readouterr().err
+
+
+def test_validate_refuses_the_config_generate_refuses_before_any_record(tmp_path):
+    config = small_config(tmp_path, names_file=" padded.txt")
+    with pytest.raises(ConfigError, match="names_file") as refused:
+        generate(config)
+    dataset = tmp_path / "train.jsonl"
+    dataset.write_text("not a record\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as from_validate:
+        validate_dataset(dataset, config)
+    assert str(from_validate.value) == str(refused.value)
+
+
+def test_int_valued_floats_digest_as_their_config_cfg_reads_back(tmp_path, capsys):
+    # 0 == 0.0, so the digest in each record must not tell them apart either
+    config = small_config(
+        tmp_path, n_samples=20, weight_temporal=0, weight_geometric=0,
+        n_snapshots=1, world_steps=0, command_prob=0,
+    )
+    assert config.digest() == parse_config_text(config.canonical_text()).digest()
+    generate(config)
+    cfg = str(Path(config.out_dir) / "config.cfg")
+    for split in SPLITS:
+        dataset = str(Path(config.out_dir) / f"{split}.jsonl")
+        assert main(["validate", "--dataset", dataset, "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_validate_flags_tampered_records(tmp_path):
